@@ -7,8 +7,9 @@ rules are themselves written in terms of `Var` ops, so gradients can be
 differentiated again (needed to unroll exactly through SGD updates).
 
 Hessian-vector products are central finite differences of exact
-gradients, which is accurate enough for power iteration and keeps the
-engine strictly first-order internally.
+gradients, which is accurate enough to assemble the dense
+architecture Hessian column by column and keeps the engine strictly
+first-order internally.
 """
 
 from __future__ import annotations

@@ -67,6 +67,10 @@ class RunConfig:
             raise ConfigError(
                 "tse-darts searches use no validation split (val-frac must be 0); "
                 "use --diag-val-frac for a diagnostics-only split")
+        if self.optimizer == "darts-1st" and self.val_frac is not None \
+                and self.val_frac <= 0.0:
+            raise ConfigError(
+                "darts-1st steps alpha on a validation split (val-frac must be > 0)")
         if self.unroll_t is not None and not (1 <= self.unroll_t <= 100):
             raise ConfigError("unroll T must be in [1, 100]")
 
@@ -79,18 +83,32 @@ class RunConfig:
         return cfg
 
 
+def _spec_values(spec: str, prefix: str, types: tuple) -> list:
+    """The comma-separated values after `prefix`, one per type."""
+    values = spec[len(prefix):].split(",")
+    if len(values) != len(types):
+        raise ConfigError(
+            f"dataset spec {spec!r}: needs {len(types)} comma-separated values")
+    try:
+        return [t(v) for t, v in zip(types, values)]
+    except ValueError as err:
+        raise ConfigError(f"dataset spec {spec!r}: {err}") from None
+
+
 def _load_dataset(spec: str, seed: int) -> datamod.Dataset:
+    sizes = (int, int, int, float)   # classes, dim, samples, noise
     if spec == "synth":
         return datamod.synth_blobs(4, 16, 4096, 0.3, seed)
     if spec.startswith("synth:"):
-        k, d, n, noise = spec[len("synth:"):].split(",")
-        return datamod.synth_blobs(int(k), int(d), int(n), float(noise), seed)
+        return datamod.synth_blobs(*_spec_values(spec, "synth:", sizes), seed)
     if spec.startswith("xor:"):
-        k, d, n, noise = spec[len("xor:"):].split(",")
-        return datamod.synth_xor(int(k), int(d), int(n), float(noise), seed)
+        return datamod.synth_xor(*_spec_values(spec, "xor:", sizes), seed)
     if spec.startswith("idx:"):
-        images, labels = spec[len("idx:"):].split(":")
-        return datamod.load_idx(images, labels)
+        images, labels = _spec_values(spec, "idx:", (str, str))
+        try:
+            return datamod.load_idx(images, labels)
+        except OSError as err:
+            raise ConfigError(f"dataset spec {spec!r}: {err}") from None
     raise ConfigError(f"unknown dataset spec {spec!r}")
 
 
@@ -170,8 +188,7 @@ def run_search(config: RunConfig) -> int:
                     train_loss = float(np.mean(losses))
                 diag.record_epoch(
                     trace, net, epoch, tse=tse_value, train_loss=train_loss,
-                    val_ds=diag_ds, eigen_batches=eigen_batches,
-                    seed=config.seed + 6)
+                    val_ds=diag_ds, eigen_batches=eigen_batches)
                 rec = trace.records[-1].to_dict()
                 rec["seed"] = config.seed
                 rec["time"] = time.time()
@@ -264,8 +281,7 @@ def _suite_eigen(count: int = 10, dim: int = 10, seed: int = 0) -> dict:
             quad = ad.vsum((leaf @ ad.const(a)) * leaf) * ad.const(0.5)
             return quad, leaf
 
-        est = diag.dominant_eigenvalue(closure, np.zeros(dim), seed=i,
-                                       max_iters=500, tol=1e-8)
+        est = diag.dominant_eigenvalue(closure, np.zeros(dim))
         ref = oracles.dense_dominant_eigenvalue(
             lambda th, a=a: 0.5 * float(th @ a @ th), np.zeros(dim))
         err = float(abs(est.eigenvalue - ref) / max(abs(ref), 1e-12))

@@ -1,7 +1,7 @@
 """Per-epoch search diagnostics.
 
 Dominant eigenvalue of the loss Hessian w.r.t. the architecture logits
-(power iteration over finite-difference Hessian-vector products),
+(dense Hessian from finite-difference Hessian-vector products),
 skip-connection counts, cell depth, validation accuracy, and the
 SearchTrace record assembly + serialization.
 """
@@ -26,98 +26,33 @@ class DiagnosticsError(ValueError):
 @dataclass
 class EigenEstimate:
     eigenvalue: float
-    iterations: int
     residual: float
     loss_source: str          # "train" | "val"
-    converged: bool = True
     zero_hessian: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalue": self.eigenvalue,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "loss_source": self.loss_source,
-            "converged": self.converged,
-            "zero_hessian": self.zero_hessian,
-        }
 
-
-def _shifted_power_iteration(apply_h, v0: np.ndarray, shift: float, sign: float,
-                             max_iters: int, tol: float):
-    """Power iteration on sign*H + shift*I; returns the implied
-    eigenvalue of H plus iteration bookkeeping.
-
-    The shift separates the most positive (sign=+1) or most negative
-    (sign=-1) eigenvalue from an opposite-sign eigenvalue of similar
-    magnitude, which plain power iteration cannot resolve.
-    """
-    v = v0 / np.linalg.norm(v0)
-    mu_prev = None
-    mu = shift
-    residuals = []
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        av = sign * apply_h(v) + shift * v
-        mu = float(v @ av)
-        residuals.append(float(np.linalg.norm(av - mu * v)))
-        norm = np.linalg.norm(av)
-        if norm < 1e-12:
-            break
-        v = av / norm
-        if mu_prev is not None and abs(mu - mu_prev) < tol * max(1.0, abs(mu)):
-            break
-        mu_prev = mu
-    converged = mu_prev is not None and abs(mu - mu_prev) < tol * max(1.0, abs(mu))
-    lam = sign * (mu - shift)
-    return lam, v, iters, residuals, converged
-
-
-def dominant_eigenvalue(loss_closure, alpha0: np.ndarray, max_iters: int = 50,
-                        tol: float = 1e-3, eps: float | None = None,
-                        seed: int = 0, loss_source: str = "val") -> EigenEstimate:
-    """Eigenvalue of largest magnitude via shifted power iteration.
+def dominant_eigenvalue(loss_closure, alpha0: np.ndarray,
+                        loss_source: str = "val") -> EigenEstimate:
+    """Eigenvalue of largest magnitude of the dense alpha-Hessian.
 
     `loss_closure(alpha_flat)` rebuilds the loss at the given logits and
-    returns (loss Var, leaf Var).  The Hessian acts through central
-    differences of exact gradients.  Two shifted runs isolate the most
-    positive and most negative eigenvalues; the larger magnitude wins
-    and its Rayleigh quotient is reported.
+    returns (loss Var, leaf Var).  One Hessian-vector product along each
+    basis vector gives the n columns; the symmetrised matrix is
+    decomposed exactly, and one more product along the chosen
+    eigenvector gives the residual ||Hv - lambda v||.  n + 1 products in
+    all: alpha has 12 (s2-like) or 24 (nb201-like) entries.
     """
     theta = np.asarray(alpha0, dtype=np.float64).ravel()
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(theta.size)
-    v0 /= np.linalg.norm(v0)
-
-    def apply_h(v):
-        return ad.hvp(loss_closure, theta, v, eps=eps)
-
-    hv0 = apply_h(v0)
-    if np.linalg.norm(hv0) < 1e-10:
-        return EigenEstimate(0.0, 1, 0.0, loss_source,
-                             converged=True, zero_hessian=True)
-    # Scale estimate for the shift: a few plain iterates.
-    scale = np.linalg.norm(hv0)
-    v = hv0 / scale
-    for _ in range(4):
-        hv = apply_h(v)
-        scale = max(scale, np.linalg.norm(hv))
-        v = hv / np.linalg.norm(hv)
-    shift = 1.5 * scale
-
-    best = None
-    total_iters = 5
-    for sign in (1.0, -1.0):
-        lam, vec, iters, residuals, conv = _shifted_power_iteration(
-            apply_h, v0, shift, sign, max_iters, tol)
-        total_iters += iters
-        if best is None or abs(lam) > abs(best[0]):
-            best = (lam, vec, residuals, conv)
-    lam, vec, residuals, converged = best
-    hv = apply_h(vec)
-    residual = float(np.linalg.norm(hv - lam * vec))
-    return EigenEstimate(lam, total_iters, residual, loss_source,
-                         converged=converged)
+    h = np.stack([ad.hvp(loss_closure, theta, e) for e in np.eye(theta.size)],
+                 axis=1)
+    h = 0.5 * (h + h.T)
+    if np.linalg.norm(h) < 1e-10:
+        return EigenEstimate(0.0, 0.0, loss_source, zero_hessian=True)
+    evals, evecs = np.linalg.eigh(h)
+    k = int(np.argmax(np.abs(evals)))
+    lam, vec = float(evals[k]), evecs[:, k]
+    residual = float(np.linalg.norm(ad.hvp(loss_closure, theta, vec) - lam * vec))
+    return EigenEstimate(lam, residual, loss_source)
 
 
 def alpha_loss_closure(net: Supernet, batch):
@@ -234,7 +169,8 @@ class SearchTrace:
 def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
                  tse: float | None, train_loss: float,
                  val_ds=None, eigen_batches: dict | None = None,
-                 eigen_opts: dict | None = None, seed: int = 0,
+                 # ignored: the eigen route has no options (perfbench still passes them)
+                 eigen_opts: dict | None = None,
                  extra: dict | None = None) -> SearchTrace:
     """Append one complete record; read-only with respect to (w, alpha).
 
@@ -251,11 +187,8 @@ def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
     for source, batch in (eigen_batches or {}).items():
         if source not in eig:
             raise DiagnosticsError(f"unknown eigenvalue loss source {source!r}")
-        opts = eigen_opts or {}
-        est = dominant_eigenvalue(
-            alpha_loss_closure(net, batch), net.alpha.value,
-            max_iters=opts.get("max_iters", 50), tol=opts.get("tol", 1e-3),
-            seed=seed, loss_source=source)
+        est = dominant_eigenvalue(alpha_loss_closure(net, batch),
+                                  net.alpha.value, loss_source=source)
         eig[source] = est.eigenvalue
     record = EpochRecord(
         epoch=epoch, tse=tse, train_loss=train_loss, val_acc=val_acc,

@@ -34,16 +34,10 @@ class UnrollAbort(RuntimeError):
 @dataclass(frozen=True)
 class SGDConfig:
     lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.lr < 0:
             raise OptimError("learning rate must be >= 0")
-
-    def require_plain(self, where: str):
-        if self.momentum != 0.0 or self.weight_decay != 0.0:
-            raise OptimError(f"{where} requires plain SGD (no momentum/decay)")
 
 
 @dataclass(frozen=True)
@@ -89,24 +83,13 @@ class TSEResult:
     backward_passes: int
 
 
-def sgd_step(weights: dict, grads: dict, cfg: SGDConfig,
-             state: dict | None = None) -> dict:
-    """In-place w <- w - lr * (g + wd * w), with optional momentum."""
-    if state is None:
-        state = {}
+def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
+    """In-place plain SGD: w <- w - lr * g."""
     for name, p in weights.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise OptimError(f"non-finite gradient for {name}")
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * p.value
-        if cfg.momentum:
-            buf = state.get(name)
-            buf = g if buf is None else cfg.momentum * buf + g
-            state[name] = buf
-            g = buf
         p.value = p.value - cfg.lr * g
-    return state
 
 
 class ArchOptimizer:
@@ -147,8 +130,6 @@ def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult
     losses into the TSE scalar and per-step direct alpha-gradients into
     one accumulator (never cleared between steps).  One forward and one
     backward per step; alpha itself is not modified."""
-    if cfg.momentum != 0.0:
-        raise OptimError("momentum must be disabled during unrolling")
     net.restore(window.w0)
     wvars = net.weight_vars()
     tse = 0.0
@@ -260,7 +241,6 @@ def exact_hypergradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
     batch evaluates the final loss.  With a single batch this is the
     direct gradient at the snapshot.
     """
-    cfg.require_plain("exact_hypergradient")
     _check_cap(net, cap)
     wvars = _graph_weights(window)
     for batch in window.batches[:-1]:
@@ -278,7 +258,6 @@ def exact_tse_gradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
 
     Returns (tse value, exact alpha gradient).
     """
-    cfg.require_plain("exact_tse_gradient")
     _check_cap(net, cap)
     wvars = _graph_weights(window)
     total = None

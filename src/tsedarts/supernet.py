@@ -138,9 +138,6 @@ class Supernet:
             rng.uniform(-bound, bound, size=(fan_out,)), name=f"{prefix}/b")
 
     # -- parameter bookkeeping -------------------------------------
-    def weight_names(self) -> list:
-        return list(self.params.keys())
-
     def weight_vars(self) -> list:
         return list(self.params.values())
 
@@ -284,10 +281,6 @@ class Supernet:
             else:
                 feats[node] = ad.const(np.zeros(x_in.shape))
         return feats[topo.output_node]
-
-
-def build(config: SupernetConfig, topology=None, ops=None) -> Supernet:
-    return Supernet(config, topology=topology, ops=ops)
 
 
 # ------------------------------------------------------------------

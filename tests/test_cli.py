@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from tsedarts import cli
+from tsedarts import cli, data
 
 
 def read_jsonl(path):
@@ -64,6 +64,41 @@ class TestDatasets:
         with pytest.raises(cli.ConfigError):
             cli._load_dataset("cifar10", seed=0)
 
+    def _exit_code(self, tmp_path, capsys, spec):
+        code = cli.main(search_args(str(tmp_path / "run"), **{"--dataset": spec}))
+        assert "config error: dataset spec" in capsys.readouterr().err
+        return code
+
+    def _idx_files(self, tmp_path):
+        images = tmp_path / "images.idx"
+        labels = tmp_path / "labels.idx"
+        images.write_bytes(data.encode_idx_images(np.zeros((6, 4, 4))))
+        labels.write_bytes(data.encode_idx_labels(np.array([0, 1, 0, 1, 0, 1])))
+        return images, labels
+
+    def test_wrong_arity_exit_code(self, tmp_path, capsys):
+        for spec in ("synth:4,16", "xor:2,4,20,0.1,9"):
+            assert self._exit_code(tmp_path, capsys, spec) == cli.EXIT_CONFIG
+
+    def test_non_number_exit_code(self, tmp_path, capsys):
+        for spec in ("synth:4,16,abc,0.3", "xor:2,4,1.5,0.1"):
+            assert self._exit_code(tmp_path, capsys, spec) == cli.EXIT_CONFIG
+
+    def test_idx_comma_spec(self, tmp_path):
+        images, labels = self._idx_files(tmp_path)
+        ds = cli._load_dataset(f"idx:{images},{labels}", seed=0)
+        assert ds.features.shape == (6, 1, 4, 4) and ds.classes == 2
+
+    def test_malformed_idx_spec_exit_code(self, tmp_path, capsys):
+        images, labels = self._idx_files(tmp_path)
+        for spec in (f"idx:{images}", f"idx:{images}:{labels}"):
+            assert self._exit_code(tmp_path, capsys, spec) == cli.EXIT_CONFIG
+
+    def test_missing_idx_file_exit_code(self, tmp_path, capsys):
+        images, _ = self._idx_files(tmp_path)
+        spec = f"idx:{images},{tmp_path / 'absent.idx'}"
+        assert self._exit_code(tmp_path, capsys, spec) == cli.EXIT_CONFIG
+
 
 class TestSearchCommand:
     def test_artifacts_written(self, tmp_path):
@@ -118,6 +153,12 @@ class TestSearchCommand:
         out = str(tmp_path / "run")
         argv = search_args(out, **{"--val-frac": "0.5"})  # tse + val split
         assert cli.main(argv) == cli.EXIT_CONFIG
+
+    def test_darts_without_val_split_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        argv = search_args(out, **{"--optimizer": "darts-1st", "--val-frac": "0"})
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "val-frac must be > 0" in capsys.readouterr().err
 
     def test_numeric_abort_exit_code(self, tmp_path, monkeypatch):
         from tsedarts import optim

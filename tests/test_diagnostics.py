@@ -25,8 +25,7 @@ def make_net(seed=0, layers=1, width=3):
 class TestDominantEigenvalue:
     def test_known_diagonal_spectrum(self):
         h = np.diag([5.0, 2.0, 1.0])
-        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3),
-                                     max_iters=200, tol=1e-8)
+        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
         assert est.eigenvalue == pytest.approx(5.0, abs=1e-3)
         assert not est.zero_hessian
 
@@ -40,8 +39,7 @@ class TestDominantEigenvalue:
 
     def test_negative_dominant_eigenvalue_found(self):
         h = np.diag([3.0, -7.0, 1.0])
-        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3),
-                                     max_iters=200, tol=1e-8)
+        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
         assert est.eigenvalue == pytest.approx(-7.0, abs=1e-3)
 
     def test_matches_dense_oracle_on_random_quadratics(self):
@@ -49,8 +47,7 @@ class TestDominantEigenvalue:
         for trial in range(5):
             m = rng.standard_normal((10, 10))
             h = 0.5 * (m + m.T)
-            est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(10),
-                                         max_iters=500, tol=1e-8, seed=trial)
+            est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(10))
 
             def f(theta):
                 return float(0.5 * theta @ h @ theta)
@@ -60,26 +57,41 @@ class TestDominantEigenvalue:
 
     def test_residual_bound_reported(self):
         h = np.diag([4.0, 1.0])
-        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(2),
-                                     max_iters=200, tol=1e-8)
+        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(2))
         assert est.residual < 1e-3 * max(1.0, abs(est.eigenvalue))
-        assert est.converged
-
-    def test_start_vector_invariance(self):
-        h = np.diag([6.0, 2.0, 0.5, -1.0])
-        vals = [dg.dominant_eigenvalue(quad_closure(h), np.zeros(4),
-                                       max_iters=300, tol=1e-8, seed=s).eigenvalue
-                for s in range(5)]
-        assert max(vals) - min(vals) < 1e-3
 
     def test_alpha_closure_on_supernet(self):
         net = make_net()
         rng = np.random.default_rng(1)
         batch = (rng.standard_normal((8, 4)), rng.integers(0, 2, size=8))
         closure = dg.alpha_loss_closure(net, batch)
-        est = dg.dominant_eigenvalue(closure, net.alpha.value, max_iters=100,
-                                     tol=1e-6)
+        est = dg.dominant_eigenvalue(closure, net.alpha.value)
         assert np.isfinite(est.eigenvalue)
+
+    @pytest.mark.parametrize("preset,seed", [("s2-like", 0), ("s2-like", 1),
+                                             ("s2-like", 2), ("s2-like", 3),
+                                             ("nb201-like", 0)])
+    def test_record_epoch_matches_dense_oracle(self, preset, seed):
+        # trained 2-layer supernets, whose alpha-curvature is small (0.04-0.2)
+        ds = data.synth_blobs(4, 8, 512, 0.3, seed)
+        net = sn.Supernet(sn.SupernetConfig(layers=2, width=4, preset=preset,
+                                            classes=4, in_shape=(8,), seed=seed))
+        stream = data.batch_stream(ds, 32, seed=seed + 4)
+        arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(lr=3e-3))
+        for _ in range(2):
+            window = optim.make_window(net, [next(stream) for _ in range(8)])
+            optim.tse_darts_round(net, window, optim.SGDConfig(lr=0.05), arch)
+        xb, yb = ds.features[:128], ds.labels[:128]
+        trace = dg.record_epoch(dg.SearchTrace(), net, 0, tse=None, train_loss=0.0,
+                                eigen_batches={"train": (xb, yb)})
+
+        def f(theta):
+            alpha = theta.reshape(net.alpha.shape)
+            return float(net.loss(net.forward(xb, alpha=alpha), yb).value)
+
+        want = dense_dominant_eigenvalue(f, net.alpha.value.ravel())
+        assert net.alpha.value.size == (12 if preset == "s2-like" else 24)
+        assert abs(trace.records[0].eig_train - want) <= 1e-3 * abs(want)
 
 
 class TestValAccuracy:
@@ -166,8 +178,7 @@ class TestSearchTrace:
         batch = (rng.standard_normal((8, 4)), rng.integers(0, 2, size=8))
         ds = data.synth_blobs(2, 4, 30, 0.3, seed=10)
         before = (net.checksum(), net.alpha.value.tobytes())
-        self._record(net, 0, val_ds=ds, eigen_batches={"train": batch},
-                     eigen_opts={"max_iters": 10})
+        self._record(net, 0, val_ds=ds, eigen_batches={"train": batch})
         assert (net.checksum(), net.alpha.value.tobytes()) == before
 
     def test_fields_match_recomputation(self):

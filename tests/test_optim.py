@@ -52,18 +52,6 @@ class TestSgdStep:
         with pytest.raises(optim.OptimError):
             optim.SGDConfig(lr=-0.1)
 
-    def test_momentum_and_decay(self):
-        w = {"w": ad.param(np.array([1.0]), "w")}
-        cfg = optim.SGDConfig(lr=0.1, momentum=0.9, weight_decay=0.01)
-        state = optim.sgd_step(w, {"w": np.array([1.0])}, cfg)
-        # g_eff = 1 + 0.01*1; w = 1 - 0.1*1.01
-        assert w["w"].value.item() == pytest.approx(1 - 0.1 * 1.01, abs=1e-15)
-        optim.sgd_step(w, {"w": np.array([0.0])}, cfg, state)
-        # second step: buf = 0.9*1.01 + 0.01*w
-        buf = 0.9 * 1.01 + 0.01 * float(1 - 0.1 * 1.01)
-        assert w["w"].value.item() == pytest.approx(
-            (1 - 0.1 * 1.01) - 0.1 * buf, abs=1e-12)
-
 
 class TestArchOptimizer:
     def test_sgd_kind(self):
@@ -169,12 +157,6 @@ class TestTseUnroll:
                                optim.SGDConfig(lr=0.05))
         assert res.forward_passes == 4
         assert res.backward_passes == 4
-
-    def test_momentum_rejected(self):
-        net = tiny_net()
-        with pytest.raises(optim.OptimError):
-            optim.tse_unroll(net, optim.make_window(net, tiny_batches(6, 2)),
-                             optim.SGDConfig(lr=0.05, momentum=0.9))
 
     def test_abort_reports_step_index(self):
         net = tiny_net()
@@ -335,10 +317,3 @@ class TestExactOracles:
         window = optim.make_window(net, tiny_batches(19, 2))
         with pytest.raises(optim.OptimError):
             optim.exact_hypergradient(net, window, optim.SGDConfig(lr=0.1), cap=10)
-
-    def test_momentum_rejected_by_oracles(self):
-        net = tiny_net()
-        window = optim.make_window(net, tiny_batches(21, 2))
-        with pytest.raises(optim.OptimError):
-            optim.exact_hypergradient(net, window,
-                                      optim.SGDConfig(lr=0.1, momentum=0.5))
