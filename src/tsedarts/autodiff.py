@@ -2,9 +2,17 @@
 
 Every value is a `Var` wrapping a numpy array.  Ops build an implicit
 graph; `tape(root)` captures a topologically ordered, single-use record
-of one forward evaluation, and `backward` replays it in reverse.  VJP
-rules are themselves written in terms of `Var` ops, so gradients can be
+of one forward evaluation, and `backward` replays it in reverse.
+
+Each primitive has one VJP rule, written against a kernel `k` that
+`backward` hands it together with the node and its operands.  A
+graph-building sweep (`create_graph=True`) passes this module's own
+`Var` primitives, so the gradients are graph nodes that can be
 differentiated again (needed to unroll exactly through SGD updates).
+A detached sweep passes `_ArrayKernel`, which runs the same numpy
+expressions in the same order on plain arrays and puts every value it
+makes through the finiteness test `Var` uses, so both sweeps give the
+same gradients bit for bit while the detached one records nothing.
 
 Hessian-vector products are central finite differences of exact
 gradients, which is accurate enough to assemble the dense
@@ -15,7 +23,8 @@ first-order internally.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+import sys
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,23 +49,38 @@ class TapeConsumedError(AutodiffError):
 BACKWARD_CALLS = 0
 
 
+def all_finite(v: np.ndarray) -> bool:
+    """True when every entry of `v` is finite.
+
+    A finite sum proves every entry finite; only a sum that is not (an
+    overflow, or a true inf/nan) needs the entrywise test.
+    """
+    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+
+
+def _checked(value, name=None) -> np.ndarray:
+    """`value` as a float64 array; NonFiniteError if an entry is not finite."""
+    v = np.asarray(value, dtype=np.float64)
+    if not all_finite(v):
+        raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
+    return v
+
+
 class Var:
     """A node in the computation graph.
 
     Leaves with a `name` are parameters; leaves without one are
-    constants.  `vjp` maps the output cotangent (a Var) to cotangents
-    for `parents`, in order.
+    constants.  `vjp(k, g, out, *operands)` is the op's VJP rule: with
+    kernel `k` it maps the output cotangent `g` to cotangents for
+    `parents`, in order.  `out` and `operands` are this node and its
+    parents: the Vars themselves for the Var kernel, their arrays for
+    the array kernel.
     """
 
     __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
 
     def __init__(self, value, parents=(), vjp=None, name=None):
-        v = np.asarray(value, dtype=np.float64)
-        # a finite sum proves every entry finite; only a sum that is not
-        # (an overflow, or a true inf/nan) needs the entrywise test
-        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-            raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
-        self.value = v
+        self.value = _checked(value, name)
         self.parents = tuple(parents)
         self.vjp = vjp
         self.name = name
@@ -126,62 +150,70 @@ def param(x, name: str) -> Var:
 
 
 # ------------------------------------------------------------------
-# primitives
+# primitives, each followed by its one VJP rule
 # ------------------------------------------------------------------
 
-def _unbroadcast(g: Var, shape: tuple) -> Var:
+def _unbroadcast(k, g, shape: tuple):
     """Reduce a broadcasted cotangent back to `shape`."""
-    while g.value.ndim > len(shape):
-        g = vsum(g, axis=0)
+    while len(g.shape) > len(shape):
+        g = k.vsum(g, axis=0)
     for ax, n in enumerate(shape):
-        if n == 1 and g.value.shape[ax] != 1:
-            g = vsum(g, axis=ax, keepdims=True)
+        if n == 1 and g.shape[ax] != 1:
+            g = k.vsum(g, axis=ax, keepdims=True)
     return g
 
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value + b.value, (a, b))
-    out.vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-    return out
+    return Var(a.value + b.value, (a, b), _add_vjp)
+
+
+def _add_vjp(k, g, out, a, b):
+    return _unbroadcast(k, g, a.shape), _unbroadcast(k, g, b.shape)
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value - b.value, (a, b))
-    out.vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape))
-    return out
+    return Var(a.value - b.value, (a, b), _sub_vjp)
+
+
+def _sub_vjp(k, g, out, a, b):
+    return _unbroadcast(k, g, a.shape), _unbroadcast(k, k.neg(g), b.shape)
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value * b.value, (a, b))
-    out.vjp = lambda g: (_unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape))
-    return out
+    return Var(a.value * b.value, (a, b), _mul_vjp)
+
+
+def _mul_vjp(k, g, out, a, b):
+    return (_unbroadcast(k, k.mul(g, b), a.shape),
+            _unbroadcast(k, k.mul(g, a), b.shape))
 
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value / b.value, (a, b))
-    out.vjp = lambda g: (
-        _unbroadcast(div(g, b), a.shape),
-        _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape),
-    )
-    return out
+    return Var(a.value / b.value, (a, b), _div_vjp)
+
+
+def _div_vjp(k, g, out, a, b):
+    return (_unbroadcast(k, k.div(g, b), a.shape),
+            _unbroadcast(k, k.neg(k.div(k.mul(g, a), k.mul(b, b))), b.shape))
 
 
 def neg(a) -> Var:
     a = as_var(a)
-    out = Var(-a.value, (a,))
-    out.vjp = lambda g: (neg(g),)
-    return out
+    return Var(-a.value, (a,), _neg_vjp)
+
+
+def _neg_vjp(k, g, out, a):
+    return (k.neg(g),)
 
 
 def power(a, p: float) -> Var:
     a = as_var(a)
-    out = Var(a.value ** p, (a,))
-    out.vjp = lambda g: (mul(g, mul(const(p), power(a, p - 1.0))),)
-    return out
+    return Var(a.value ** p, (a,),
+               lambda k, g, out, a: (k.mul(g, k.mul(k.const(p), k.power(a, p - 1.0))),))
 
 
 def matmul(a, b) -> Var:
@@ -190,61 +222,67 @@ def matmul(a, b) -> Var:
         raise ShapeError("matmul expects 2-d operands")
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    out = Var(a.value @ b.value, (a, b))
-    out.vjp = lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g))
-    return out
+    return Var(a.value @ b.value, (a, b), _matmul_vjp)
+
+
+def _matmul_vjp(k, g, out, a, b):
+    return k.matmul(g, k.transpose(b)), k.matmul(k.transpose(a), g)
 
 
 def transpose(a, axes=None) -> Var:
     a = as_var(a)
-    out = Var(np.transpose(a.value, axes), (a,))
     inv = None if axes is None else tuple(np.argsort(axes))
-    out.vjp = lambda g: (transpose(g, inv),)
-    return out
+    return Var(np.transpose(a.value, axes), (a,),
+               lambda k, g, out, a: (k.transpose(g, inv),))
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    out = Var(a.value.reshape(shape), (a,))
-    out.vjp = lambda g: (reshape(g, a.shape),)
-    return out
+    return Var(a.value.reshape(shape), (a,), _reshape_vjp)
+
+
+def _reshape_vjp(k, g, out, a):
+    return (k.reshape(g, a.shape),)
 
 
 def vexp(a) -> Var:
     a = as_var(a)
-    out = Var(np.exp(a.value), (a,))
-    out.vjp = lambda g: (mul(g, out),)
-    return out
+    return Var(np.exp(a.value), (a,), _vexp_vjp)
+
+
+def _vexp_vjp(k, g, out, a):
+    return (k.mul(g, out),)
 
 
 def vlog(a) -> Var:
     a = as_var(a)
-    out = Var(np.log(a.value), (a,))
-    out.vjp = lambda g: (div(g, a),)
-    return out
+    return Var(np.log(a.value), (a,), _vlog_vjp)
+
+
+def _vlog_vjp(k, g, out, a):
+    return (k.div(g, a),)
 
 
 def vtanh(a) -> Var:
     a = as_var(a)
-    out = Var(np.tanh(a.value), (a,))
-    out.vjp = lambda g: (mul(g, sub(const(1.0), mul(out, out))),)
-    return out
+    return Var(np.tanh(a.value), (a,), _vtanh_vjp)
+
+
+def _vtanh_vjp(k, g, out, a):
+    return (k.mul(g, k.sub(k.const(1.0), k.mul(out, out))),)
 
 
 def vsum(a, axis=None, keepdims=False) -> Var:
     a = as_var(a)
-    out = Var(a.value.sum(axis=axis, keepdims=keepdims), (a,))
 
-    def vjp(g):
-        gv = g
+    def vjp(k, g, out, a):
         if axis is not None and not keepdims:
             kd = list(a.shape)
             kd[axis] = 1
-            gv = reshape(gv, tuple(kd))
-        return (mul(gv, const(np.ones(a.shape))),)
+            g = k.reshape(g, tuple(kd))
+        return (k.mul(g, k.const(np.ones(a.shape))),)
 
-    out.vjp = vjp
-    return out
+    return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def vmean(a, axis=None, keepdims=False) -> Var:
@@ -256,18 +294,19 @@ def vmean(a, axis=None, keepdims=False) -> Var:
 def vslice(a, key) -> Var:
     """Basic-index view; the adjoint scatters back into zeros."""
     a = as_var(a)
-    out = Var(a.value[key], (a,))
-    out.vjp = lambda g: (vscatter(g, key, a.shape),)
-    return out
+    return Var(a.value[key], (a,), lambda k, g, out, a: (k.vscatter(g, key, a.shape),))
+
+
+def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
+    buf = np.zeros(shape)
+    buf[key] = g
+    return buf
 
 
 def vscatter(g, key, shape) -> Var:
     g = as_var(g)
-    buf = np.zeros(shape)
-    buf[key] = g.value
-    out = Var(buf, (g,))
-    out.vjp = lambda gg: (vslice(gg, key),)
-    return out
+    return Var(_scatter_val(g.value, key, shape), (g,),
+               lambda k, gg, out, g: (k.vslice(gg, key),))
 
 
 def _im2col3_val(v: np.ndarray) -> np.ndarray:
@@ -303,17 +342,92 @@ def im2col3(a) -> Var:
     a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("im2col3 expects (n, c, h, w)")
-    n, c, h, w = a.shape
-    out = Var(_im2col3_val(a.value), (a,))
-    out.vjp = lambda g: (col2im3(g, c, h, w),)
-    return out
+    return Var(_im2col3_val(a.value), (a,), _im2col3_vjp)
+
+
+def _im2col3_vjp(k, g, out, a):
+    return (k.col2im3(g, *a.shape[1:]),)
 
 
 def col2im3(a, c: int, h: int, w: int) -> Var:
     a = as_var(a)
-    out = Var(_col2im3_val(a.value, c, h, w), (a,))
-    out.vjp = lambda g: (im2col3(g),)
-    return out
+    return Var(_col2im3_val(a.value, c, h, w), (a,), _col2im3_vjp)
+
+
+def _col2im3_vjp(k, g, out, a):
+    return (k.im2col3(g),)
+
+
+class _ArrayKernel:
+    """The primitives a VJP rule may call, on plain arrays.
+
+    Each one computes what the `Var` primitive of the same name puts in
+    `.value`, with the same numpy expression, and checks it with the
+    same `_checked`; it records no parents and no rule.
+    """
+
+    @staticmethod
+    def add(a, b):
+        return _checked(a + b)
+
+    @staticmethod
+    def sub(a, b):
+        return _checked(a - b)
+
+    @staticmethod
+    def mul(a, b):
+        return _checked(a * b)
+
+    @staticmethod
+    def div(a, b):
+        return _checked(a / b)
+
+    @staticmethod
+    def neg(a):
+        return _checked(-a)
+
+    @staticmethod
+    def power(a, p):
+        return _checked(a ** p)
+
+    @staticmethod
+    def matmul(a, b):
+        return _checked(a @ b)
+
+    @staticmethod
+    def transpose(a, axes=None):
+        return _checked(np.transpose(a, axes))
+
+    @staticmethod
+    def reshape(a, shape):
+        return _checked(a.reshape(shape))
+
+    @staticmethod
+    def vsum(a, axis=None, keepdims=False):
+        return _checked(a.sum(axis=axis, keepdims=keepdims))
+
+    @staticmethod
+    def vslice(a, key):
+        return _checked(a[key])
+
+    @staticmethod
+    def vscatter(g, key, shape):
+        return _checked(_scatter_val(g, key, shape))
+
+    @staticmethod
+    def im2col3(a):
+        return _checked(_im2col3_val(a))
+
+    @staticmethod
+    def col2im3(a, c, h, w):
+        return _checked(_col2im3_val(a, c, h, w))
+
+    const = staticmethod(_checked)
+
+
+# The kernel of graph-building sweeps: this module, so that a rule's
+# `k.mul` finds whatever `mul` the module holds when it runs.
+_VAR_KERNEL = sys.modules[__name__]
 
 
 # ------------------------------------------------------------------
@@ -376,8 +490,11 @@ class GradMap:
 def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = False) -> GradMap:
     """Reverse sweep over a tape; returns gradients for `wrt`.
 
-    With `create_graph=True` the returned gradients are graph nodes
-    that can themselves be differentiated.  Tapes are single-use.
+    With `create_graph=True` the VJP rules run on `Var`s and the
+    returned gradients are graph nodes that can themselves be
+    differentiated.  Otherwise they run on plain arrays, each value
+    checked as a `Var` would be, and the gradients come back as
+    constants.  Tapes are single-use.
     """
     global BACKWARD_CALLS
     if t.consumed:
@@ -396,28 +513,31 @@ def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = F
     # Only propagate through nodes that can reach a requested leaf.
     needed: set = set(want)
     for node in t.nodes:
-        if any(id(p) in needed for p in node.parents):
+        if not needed.isdisjoint(map(id, node.parents)):
             needed.add(id(node))
 
-    grads: dict = {id(root): seed}
+    k = _VAR_KERNEL if create_graph else _ArrayKernel
+    grads: dict = {id(root): seed if create_graph else seed.value}
     for node in reversed(t.nodes):
         g = grads.get(id(node))
         if g is None:
             continue
         if node.vjp is not None:
-            pgrads = node.vjp(g)
+            if create_graph:
+                pgrads = node.vjp(k, g, node, *node.parents)
+            else:
+                pgrads = node.vjp(k, g, node.value, *[p.value for p in node.parents])
             for p, pg in zip(node.parents, pgrads):
                 if pg is None or id(p) not in needed:
                     continue
                 acc = grads.get(id(p))
-                grads[id(p)] = pg if acc is None else add(acc, pg)
+                grads[id(p)] = pg if acc is None else k.add(acc, pg)
         if id(node) not in want:
             del grads[id(node)]
 
     out = {id(v): grads[id(v)] for v in wrt if id(v) in grads}
     if not create_graph:
-        # Detach so the unrolled graph can be freed.
-        out = {k: const(v.value) for k, v in out.items()}
+        out = {key: const(v) for key, v in out.items()}
     return GradMap(out, wrt)
 
 
@@ -461,7 +581,7 @@ def hvp(loss_closure: Callable[[np.ndarray], tuple], theta: np.ndarray,
         return gv.value.ravel()
 
     out = (g(theta + eps * v) - g(theta - eps * v)) / (2.0 * eps)
-    if not np.all(np.isfinite(out)):
+    if not all_finite(out):
         raise NonFiniteError("non-finite Hessian-vector product")
     return out
 

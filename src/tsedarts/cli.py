@@ -245,22 +245,9 @@ def _suite_gradients(seeds=range(3)) -> dict:
         cfg = optim.SGDConfig(lr=0.05)
         exact_h = optim.exact_hypergradient(net, window, cfg).ravel()
 
-        def loss_at(theta, window=window, net=net, cfg=cfg):
-            saved = net.alpha.value.copy()
-            net.alpha.value = theta.reshape(net.alpha.shape)
-            try:
-                net.restore(window.w0)
-                for xb, yb in window.batches[:-1]:
-                    loss = net.loss(net.forward(xb), yb)
-                    gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
-                    optim.sgd_step(net.params, gm.by_name(), cfg)
-                xb, yb = window.batches[-1]
-                return float(net.loss(net.forward(xb), yb).value)
-            finally:
-                net.alpha.value = saved
-                net.restore(window.w0)
-
-        fd = oracles.fd_gradient(loss_at, net.alpha.value.ravel(), step=1e-5)
+        fd = oracles.fd_gradient(
+            lambda a: oracles.replay_final_loss(net, window, cfg, a),
+            net.alpha.value.ravel(), step=1e-5)
         denom = max(float(np.max(np.abs(fd))), 1e-8)
         err = float(np.max(np.abs(exact_h - fd)) / denom)
         checks.append({"name": f"exact-hypergrad-fd-seed{seed}", "error": err,

@@ -87,7 +87,7 @@ def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
     """In-place plain SGD: w <- w - lr * g."""
     for name, p in weights.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not ad.all_finite(g):
             raise OptimError(f"non-finite gradient for {name}")
         p.value = p.value - cfg.lr * g
 
@@ -103,7 +103,7 @@ class ArchOptimizer:
         self.v = None
 
     def step(self, alpha: Var, grad: np.ndarray):
-        if not np.all(np.isfinite(grad)):
+        if not ad.all_finite(grad):
             raise OptimError("non-finite architecture gradient")
         g = grad + self.cfg.weight_decay * alpha.value
         if self.cfg.kind == "sgd":

@@ -1,8 +1,11 @@
 """Independent verification oracles.
 
 Deliberately naive routes (enumeration, central finite differences of
-scalar losses, dense eigendecomposition) used to cross-check the fast
-implementations.  Nothing here shares code with the paths it verifies.
+scalar losses, dense eigendecomposition, straight-line replay of the
+training steps) used to cross-check the fast implementations.  The
+replays step the weights with the engine's detached gradients, as
+training does; what they check is the exact unrolled route, which
+differentiates through those steps.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from . import autodiff as ad
+from . import optim
 
 
 def fd_gradient(f, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -89,3 +95,26 @@ def replay_training_loss_sum(loss_at, w0: np.ndarray, batches, lr: float):
         total += loss
         w = w - lr * g
     return total, w
+
+
+def replay_final_loss(net, window, cfg, alpha_flat: np.ndarray) -> float:
+    """Final training loss of the window's plain-SGD replay at alpha.
+
+    From the snapshot `window.w0`, take one SGD step (`cfg`) per batch
+    but the last, then return the loss on the last batch.  The net's
+    alpha and weights are restored afterwards.  Central differences of
+    this function in alpha check `optim.exact_hypergradient`.
+    """
+    saved = net.alpha.value.copy()
+    net.alpha.value = alpha_flat.reshape(net.alpha.shape)
+    try:
+        net.restore(window.w0)
+        for xb, yb in window.batches[:-1]:
+            loss = net.loss(net.forward(xb), yb)
+            gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
+            optim.sgd_step(net.params, gm.by_name(), cfg)
+        xb, yb = window.batches[-1]
+        return float(net.loss(net.forward(xb), yb).value)
+    finally:
+        net.alpha.value = saved
+        net.restore(window.w0)

@@ -134,35 +134,14 @@ def mixture_weights(alpha_edge: np.ndarray) -> np.ndarray:
 
 
 def discretize(encoding: ArchEncoding, topology: CellTopology,
-               ops: Sequence[OperationKind], rule: str = "argmax-per-edge",
-               top_k: int = 2) -> Genotype:
-    """argmax per edge (ties -> lowest op index); optional top-k edge
-    retention per intermediate node, ranked by max non-Zero weight."""
+               ops: Sequence[OperationKind], rule: str = "argmax-per-edge") -> Genotype:
+    """argmax per edge (ties -> lowest op index)."""
     if encoding.table.shape != (len(topology.edges), len(ops)):
         raise SpaceError("encoding does not cover the topology")
-    chosen = [ops[int(np.argmax(row))] for row in encoding.table]
-    if rule == "argmax-per-edge":
-        return Genotype(tuple(topology.edges), tuple(chosen), topology.preset)
-    if rule != "top-k-edges":
+    if rule != "argmax-per-edge":
         raise SpaceError(f"unknown discretization rule {rule!r}")
-
-    # Rank incoming edges per node by their best non-Zero mixture weight;
-    # edges outside the top k are forced to Zero (Zero must be in O).
-    zero = next((o for o in ops if o.tag == ZERO), None)
-    if zero is None:
-        raise SpaceError("top-k-edges rule needs a Zero operation to drop edges")
-    scores = {}
-    for idx, (i, j) in enumerate(topology.edges):
-        w = mixture_weights(encoding.table[idx])
-        nz = [w[k] for k, o in enumerate(ops) if o.tag != ZERO]
-        scores[idx] = max(nz) if nz else 0.0
-    keep = set()
-    for node in range(1, topology.nodes):
-        incoming = [idx for idx, (i, j) in enumerate(topology.edges) if j == node]
-        incoming.sort(key=lambda idx: (-scores[idx], idx))
-        keep.update(incoming[:top_k])
-    final = [op if idx in keep else zero for idx, op in enumerate(chosen)]
-    return Genotype(tuple(topology.edges), tuple(final), topology.preset)
+    chosen = [ops[int(np.argmax(row))] for row in encoding.table]
+    return Genotype(tuple(topology.edges), tuple(chosen), topology.preset)
 
 
 def cell_depth(genotype: Genotype, topology: CellTopology) -> int:

@@ -43,22 +43,6 @@ def tiny_batches(seed, count, batch=5, dim=2):
              rng.integers(0, 2, size=batch)) for _ in range(count)]
 
 
-def replay_final_loss(net, window, cfg, alpha_flat):
-    saved = net.alpha.value.copy()
-    net.alpha.value = alpha_flat.reshape(net.alpha.shape)
-    try:
-        net.restore(window.w0)
-        for xb, yb in window.batches[:-1]:
-            loss = net.loss(net.forward(xb), yb)
-            gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
-            optim.sgd_step(net.params, gm.by_name(), cfg)
-        xb, yb = window.batches[-1]
-        return float(net.loss(net.forward(xb), yb).value)
-    finally:
-        net.alpha.value = saved
-        net.restore(window.w0)
-
-
 def replay_tse(net, window, cfg, alpha_flat):
     saved = net.alpha.value.copy()
     net.alpha.value = alpha_flat.reshape(net.alpha.shape)
@@ -86,7 +70,7 @@ def test_criterion_1_exact_hypergradient_vs_fd():
         cfg = optim.SGDConfig(lr=0.05)
         exact = optim.exact_hypergradient(net, window, cfg).ravel()
         fd = oracles.fd_gradient(
-            lambda a: replay_final_loss(net, window, cfg, a),
+            lambda a: oracles.replay_final_loss(net, window, cfg, a),
             net.alpha.value.ravel(), step=1e-5)
         err = np.max(np.abs(exact - fd)) / max(np.max(np.abs(fd)), 1e-8)
         worst = max(worst, err)

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import tsedarts.autodiff as ad
+from tsedarts import supernet as sn
 from tsedarts.oracles import fd_gradient, fd_hessian
 
 
@@ -233,3 +237,74 @@ def test_cross_entropy_uniform_logits():
 def test_cross_entropy_label_validation():
     with pytest.raises(ad.AutodiffError):
         ad.cross_entropy(ad.const(np.zeros((2, 3))), np.array([0, 3]))
+
+
+# ------------------------------------------------------------------
+# detached sweeps: same rules on plain arrays, same numbers and checks
+# ------------------------------------------------------------------
+
+# The frozen 8-layer s2-like net and the nb201-like image net use every
+# primitive between them: in the forward pass, or inside a VJP rule
+# (col2im3 and vscatter, the adjoints of im2col3 and vslice).
+SWEEP_NETS = {
+    "s2-like-8-layers": (dict(layers=8, width=8, preset="s2-like", classes=4,
+                              in_shape=(16,), seed=0), 32),
+    "nb201-like-image": (dict(layers=2, width=4, preset="nb201-like", classes=4,
+                              in_shape=(1, 8, 8), seed=0), 16),
+}
+
+
+def _sweep_net(name):
+    kw, batch = SWEEP_NETS[name]
+    net = sn.Supernet(sn.SupernetConfig(**kw))
+    rng = np.random.default_rng(7)
+    net.alpha.value = 0.3 * rng.standard_normal(net.alpha.shape)
+    x = rng.standard_normal((batch,) + kw["in_shape"])
+    y = rng.integers(0, kw["classes"], size=batch)
+    return net, x, y
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_NETS))
+def test_detached_sweep_matches_graph_building_sweep(name):
+    net, x, y = _sweep_net(name)
+    wrt = net.weight_vars() + [net.alpha]
+    detached, graph = (
+        ad.backward(ad.tape(net.loss(net.forward(x), y)), wrt=wrt, create_graph=cg)
+        for cg in (False, True))
+    for v in wrt:
+        got, want = detached.get(v), graph.get(v)
+        assert got.parents == () and want.parents != (), v.name
+        assert np.array_equal(got.value, want.value), v.name
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_intermediate_cotangent_overflow_rejected(create_graph):
+    # d(a/b)/db = -(g*a)/(b*b): b*b overflows although the quotient
+    # (-1e-400, i.e. -0.0) would be finite
+    a = ad.param(1.0, "a")
+    b = ad.param(1e200, "b")
+    with pytest.raises(ad.NonFiniteError):
+        ad.grad(a / b, [a, b], create_graph=create_graph)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_step_leaves_no_reference_cycle(create_graph):
+    # with the cyclic collector off, refcounting alone must free the loss
+    # and every interior node of a step's graph once its locals are gone
+    net, x, y = _sweep_net("s2-like-8-layers")
+
+    def step():
+        loss = net.loss(net.forward(x), y)
+        t = ad.tape(loss)
+        refs = [weakref.ref(node) for node in t.nodes]
+        ad.backward(t, wrt=net.weight_vars() + [net.alpha], create_graph=create_graph)
+        return weakref.ref(loss), refs
+
+    gc.disable()
+    try:
+        loss_ref, refs = step()
+        assert loss_ref() is None
+        alive = [node for node in (r() for r in refs) if node is not None and node.parents]
+        assert not alive
+    finally:
+        gc.enable()

@@ -105,25 +105,6 @@ class TestDiscretize:
         with pytest.raises(SpaceError):
             discretize(ArchEncoding(np.zeros((2, 2))), topo, S2_OPS)
 
-    def test_top_k_rule_forces_zero_on_weak_edges(self):
-        topo, ops = make_space("nb201-like")
-        table = np.zeros((6, 4))
-        table[:, 1] = 1.0           # every edge prefers Skip
-        table[0, 1] = 5.0           # edge (0,1) much stronger
-        g = discretize(ArchEncoding(table), topo, ops, rule="top-k-edges", top_k=1)
-        # each node keeps at most one incoming non-Zero edge
-        incoming = {}
-        for (i, j), op in zip(g.edges, g.ops):
-            if op.tag != ZERO:
-                incoming.setdefault(j, []).append((i, j))
-        assert all(len(v) <= 1 for v in incoming.values())
-
-    def test_top_k_requires_zero_op(self):
-        topo, _ = make_space("s2-like")
-        with pytest.raises(SpaceError):
-            discretize(ArchEncoding(np.zeros((6, 2))), topo, S2_OPS,
-                       rule="top-k-edges")
-
     def test_unknown_rule_rejected(self):
         topo = CellTopology(2, ((0, 1),))
         with pytest.raises(SpaceError):
