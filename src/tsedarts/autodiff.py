@@ -4,6 +4,13 @@ Every value is a `Var` wrapping a numpy array.  Ops build an implicit
 graph; `tape(root)` captures a topologically ordered, single-use record
 of one forward evaluation, and `backward` replays it in reverse.
 
+Arrays are graph nodes: parameters (named leaves), constants (unnamed
+leaves, such as a batch) and op results.  Python scalars are not:
+a scalar operand of `add`/`sub`/`mul`/`div`, the exponent of `power`,
+the count `vmean` divides by and the target shape of `broadcast_to`
+are attributes of their node, read by its VJP rule, so no leaf is made
+for them and no cotangent is computed for them.
+
 Each primitive has one VJP rule, written against a kernel `k` that
 `backward` hands it together with the node and its operands.  A
 graph-building sweep (`create_graph=True`) passes this module's own
@@ -153,6 +160,10 @@ def param(x, name: str) -> Var:
 # primitives, each followed by its one VJP rule
 # ------------------------------------------------------------------
 
+# Operands kept as node attributes rather than graph leaves.
+_SCALAR = (int, float)
+
+
 def _unbroadcast(k, g, shape: tuple):
     """Reduce a broadcasted cotangent back to `shape`."""
     while len(g.shape) > len(shape):
@@ -164,6 +175,12 @@ def _unbroadcast(k, g, shape: tuple):
 
 
 def add(a, b) -> Var:
+    if isinstance(b, _SCALAR):
+        a = as_var(a)
+        return Var(a.value + b, (a,), _pass_vjp)
+    if isinstance(a, _SCALAR):
+        b = as_var(b)
+        return Var(a + b.value, (b,), _pass_vjp)
     a, b = as_var(a), as_var(b)
     return Var(a.value + b.value, (a, b), _add_vjp)
 
@@ -172,7 +189,17 @@ def _add_vjp(k, g, out, a, b):
     return _unbroadcast(k, g, a.shape), _unbroadcast(k, g, b.shape)
 
 
+def _pass_vjp(k, g, out, a):
+    return (g,)
+
+
 def sub(a, b) -> Var:
+    if isinstance(b, _SCALAR):
+        a = as_var(a)
+        return Var(a.value - b, (a,), _pass_vjp)
+    if isinstance(a, _SCALAR):
+        b = as_var(b)
+        return Var(a - b.value, (b,), _neg_vjp)
     a, b = as_var(a), as_var(b)
     return Var(a.value - b.value, (a, b), _sub_vjp)
 
@@ -182,6 +209,12 @@ def _sub_vjp(k, g, out, a, b):
 
 
 def mul(a, b) -> Var:
+    if isinstance(b, _SCALAR):
+        a = as_var(a)
+        return Var(a.value * b, (a,), lambda k, g, out, a: (k.mul(g, b),))
+    if isinstance(a, _SCALAR):
+        c, b = a, as_var(b)
+        return Var(c * b.value, (b,), lambda k, g, out, b: (k.mul(g, c),))
     a, b = as_var(a), as_var(b)
     return Var(a.value * b.value, (a, b), _mul_vjp)
 
@@ -192,6 +225,13 @@ def _mul_vjp(k, g, out, a, b):
 
 
 def div(a, b) -> Var:
+    if isinstance(b, _SCALAR):
+        a = as_var(a)
+        return Var(a.value / b, (a,), lambda k, g, out, a: (k.div(g, b),))
+    if isinstance(a, _SCALAR):
+        c, b = a, as_var(b)
+        return Var(c / b.value, (b,),
+                   lambda k, g, out, b: (k.neg(k.div(k.mul(g, c), k.mul(b, b))),))
     a, b = as_var(a), as_var(b)
     return Var(a.value / b.value, (a, b), _div_vjp)
 
@@ -213,7 +253,7 @@ def _neg_vjp(k, g, out, a):
 def power(a, p: float) -> Var:
     a = as_var(a)
     return Var(a.value ** p, (a,),
-               lambda k, g, out, a: (k.mul(g, k.mul(k.const(p), k.power(a, p - 1.0))),))
+               lambda k, g, out, a: (k.mul(g, k.mul(p, k.power(a, p - 1.0))),))
 
 
 def matmul(a, b) -> Var:
@@ -269,7 +309,7 @@ def vtanh(a) -> Var:
 
 
 def _vtanh_vjp(k, g, out, a):
-    return (k.mul(g, k.sub(k.const(1.0), k.mul(out, out))),)
+    return (k.mul(g, k.sub(1.0, k.mul(out, out))),)
 
 
 def vsum(a, axis=None, keepdims=False) -> Var:
@@ -280,15 +320,25 @@ def vsum(a, axis=None, keepdims=False) -> Var:
             kd = list(a.shape)
             kd[axis] = 1
             g = k.reshape(g, tuple(kd))
-        return (k.mul(g, k.const(np.ones(a.shape))),)
+        return (k.broadcast_to(g, a.shape),)
 
     return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+
+
+def broadcast_to(a, shape) -> Var:
+    """Read-only broadcast view; the adjoint sums back to `a`'s shape."""
+    a = as_var(a)
+    return Var(np.broadcast_to(a.value, shape), (a,), _broadcast_to_vjp)
+
+
+def _broadcast_to_vjp(k, g, out, a):
+    return (_unbroadcast(k, g, a.shape),)
 
 
 def vmean(a, axis=None, keepdims=False) -> Var:
     a = as_var(a)
     n = a.value.size if axis is None else a.shape[axis]
-    return div(vsum(a, axis=axis, keepdims=keepdims), const(float(n)))
+    return div(vsum(a, axis=axis, keepdims=keepdims), float(n))
 
 
 def vslice(a, key) -> Var:
@@ -407,6 +457,10 @@ class _ArrayKernel:
         return _checked(a.sum(axis=axis, keepdims=keepdims))
 
     @staticmethod
+    def broadcast_to(a, shape):
+        return _checked(np.broadcast_to(a, shape))
+
+    @staticmethod
     def vslice(a, key):
         return _checked(a[key])
 
@@ -421,8 +475,6 @@ class _ArrayKernel:
     @staticmethod
     def col2im3(a, c, h, w):
         return _checked(_col2im3_val(a, c, h, w))
-
-    const = staticmethod(_checked)
 
 
 # The kernel of graph-building sweeps: this module, so that a rule's
@@ -482,9 +534,6 @@ class GradMap:
 
     def by_name(self) -> dict:
         return {v.name: self.array(v) for v in self._wrt if v.name is not None}
-
-    def __iter__(self):
-        return iter(self._wrt)
 
 
 def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = False) -> GradMap:

@@ -112,6 +112,17 @@ def _load_dataset(spec: str, seed: int) -> datamod.Dataset:
     raise ConfigError(f"unknown dataset spec {spec!r}")
 
 
+def _reject_lone_batch(name: str, ds: datamod.Dataset, batch_size: int):
+    """ConfigError when each pass over `ds` would end in a batch of one:
+    batch normalisation centres it to zero, so every parametric op outputs
+    0 and its weights get no gradient."""
+    if batch_size > 1 and len(ds) % batch_size == 1:
+        raise ConfigError(
+            f"the {name} split has {len(ds)} samples, so batches of "
+            f"{batch_size} end in a batch of one sample; change --batch-size "
+            "or the split sizes")
+
+
 def run_search(config: RunConfig) -> int:
     config.validate()
     os.makedirs(config.out, exist_ok=True)
@@ -133,6 +144,10 @@ def run_search(config: RunConfig) -> int:
                                          seed=config.seed + 2))
     else:
         train_ds, sval_ds = search_ds, None
+    _reject_lone_batch("train", train_ds, config.batch_size)
+    if sval_ds is not None:
+        val_batch = min(config.batch_size, len(sval_ds))
+        _reject_lone_batch("validation", sval_ds, val_batch)
 
     net_cfg = snmod.SupernetConfig(
         layers=config.layers, width=config.width, preset=config.space,
@@ -162,8 +177,7 @@ def run_search(config: RunConfig) -> int:
 
     train_stream = datamod.batch_stream(train_ds, config.batch_size,
                                         seed=config.seed + 4)
-    val_stream = (datamod.batch_stream(sval_ds, min(config.batch_size, len(sval_ds)),
-                                       seed=config.seed + 5)
+    val_stream = (datamod.batch_stream(sval_ds, val_batch, seed=config.seed + 5)
                   if sval_ds is not None else None)
 
     trace = diag.SearchTrace()
@@ -265,7 +279,7 @@ def _suite_eigen(count: int = 10, dim: int = 10, seed: int = 0) -> dict:
 
         def closure(theta, a=a):
             leaf = ad.param(theta.reshape(1, -1), name="theta")
-            quad = ad.vsum((leaf @ ad.const(a)) * leaf) * ad.const(0.5)
+            quad = ad.vsum((leaf @ ad.const(a)) * leaf) * 0.5
             return quad, leaf
 
         est = diag.dominant_eigenvalue(closure, np.zeros(dim))

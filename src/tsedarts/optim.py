@@ -83,6 +83,15 @@ class TSEResult:
     backward_passes: int
 
 
+def loss_and_grads(net: Supernet, batch, wrt: list) -> tuple:
+    """One forward and one detached backward on `batch`: the loss as a
+    float and the GradMap for `wrt`.  Only the float leaves, so the
+    step's graph is freed before a caller builds the next one."""
+    xb, yb = batch
+    loss = net.loss(net.forward(xb), yb)
+    return float(loss.value), ad.backward(ad.tape(loss), wrt=wrt)
+
+
 def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
     """In-place plain SGD: w <- w - lr * g."""
     for name, p in weights.items():
@@ -136,14 +145,13 @@ def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult
     step_losses = []
     alpha_grad = np.zeros_like(net.alpha.value)
     fwd0, bwd0 = net.forward_count, ad.BACKWARD_CALLS
-    for t, (xb, yb) in enumerate(window.batches):
+    for t, batch in enumerate(window.batches):
         try:
-            loss = net.loss(net.forward(xb), yb)
-            gm = ad.backward(ad.tape(loss), wrt=wvars + [net.alpha])
+            loss, gm = loss_and_grads(net, batch, wvars + [net.alpha])
         except NonFiniteError as err:
             raise UnrollAbort(t, str(err)) from err
-        step_losses.append(float(loss.value))
-        tse += float(loss.value)
+        step_losses.append(loss)
+        tse += loss
         alpha_grad += gm.array(net.alpha)
         sgd_step(net.params, gm.by_name(), cfg)
     return TSEResult(
@@ -178,13 +186,12 @@ def tse_darts_round(net: Supernet, window: UnrollWindow, w_cfg: SGDConfig,
     arch_opt.step(net.alpha, result.alpha_grad)
     retrain_losses = []
     wvars = net.weight_vars()
-    for t, (xb, yb) in enumerate(window.batches):
+    for t, batch in enumerate(window.batches):
         try:
-            loss = net.loss(net.forward(xb), yb)
-            gm = ad.backward(ad.tape(loss), wrt=wvars)
+            loss, gm = loss_and_grads(net, batch, wvars)
         except NonFiniteError as err:
             raise UnrollAbort(t, str(err)) from err
-        retrain_losses.append(float(loss.value))
+        retrain_losses.append(loss)
         sgd_step(net.params, gm.by_name(), w_cfg)
     return RoundResult(result.tse, result.step_losses, retrain_losses,
                        result.alpha_grad, restore_exact)
@@ -195,16 +202,12 @@ def darts_first_order_round(net: Supernet, train_batch, val_batch,
     """One first-order baseline step: SGD on the train loss, then an
     alpha step on the direct validation-loss gradient at the current
     weights (w* approximated by w)."""
-    xt, yt = train_batch
-    loss_t = net.loss(net.forward(xt), yt)
-    gm = ad.backward(ad.tape(loss_t), wrt=net.weight_vars())
+    loss_t, gm = loss_and_grads(net, train_batch, net.weight_vars())
     sgd_step(net.params, gm.by_name(), w_cfg)
 
-    xv, yv = val_batch
-    loss_v = net.loss(net.forward(xv), yv)
-    (ga,) = ad.grad(loss_v, wrt=[net.alpha])
-    arch_opt.step(net.alpha, ga.value)
-    return {"train_loss": float(loss_t.value), "val_loss": float(loss_v.value)}
+    loss_v, gm = loss_and_grads(net, val_batch, [net.alpha])
+    arch_opt.step(net.alpha, gm.array(net.alpha))
+    return {"train_loss": loss_t, "val_loss": loss_v}
 
 
 # ------------------------------------------------------------------
@@ -227,8 +230,7 @@ def _unrolled_step(net: Supernet, wvars: dict, batch, cfg: SGDConfig):
     loss = net.loss(net.forward(xb, params=wvars), yb)
     names = list(wvars.keys())
     gs = ad.grad(loss, wrt=[wvars[n] for n in names], create_graph=True)
-    lr = ad.const(cfg.lr)
-    nxt = {n: wvars[n] - lr * g for n, g in zip(names, gs)}
+    nxt = {n: wvars[n] - cfg.lr * g for n, g in zip(names, gs)}
     return loss, nxt
 
 

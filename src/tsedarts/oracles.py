@@ -14,7 +14,6 @@ import itertools
 
 import numpy as np
 
-from . import autodiff as ad
 from . import optim
 
 
@@ -84,37 +83,48 @@ def random_dag(rng: np.random.Generator, max_nodes: int = 8):
     return n, sorted(edges)
 
 
-def replay_training_loss_sum(loss_at, w0: np.ndarray, batches, lr: float):
-    """Straight-line replay oracle for the training-loss sum: plain SGD
-    with finite-difference gradients is avoided; callers supply
-    `loss_at(w, batch) -> (loss, grad_w)`."""
-    w = w0.copy()
-    total = 0.0
-    for batch in batches:
-        loss, g = loss_at(w, batch)
-        total += loss
-        w = w - lr * g
-    return total, w
-
-
-def replay_final_loss(net, window, cfg, alpha_flat: np.ndarray) -> float:
-    """Final training loss of the window's plain-SGD replay at alpha.
+def _replay_losses(net, window, cfg, alpha_flat: np.ndarray) -> list:
+    """Training losses of the window's plain-SGD replay at alpha.
 
     From the snapshot `window.w0`, take one SGD step (`cfg`) per batch
-    but the last, then return the loss on the last batch.  The net's
-    alpha and weights are restored afterwards.  Central differences of
-    this function in alpha check `optim.exact_hypergradient`.
+    but the last, recording each batch's loss before its step, then the
+    loss on the last batch.  The net's alpha and weights are restored
+    afterwards.
     """
     saved = net.alpha.value.copy()
     net.alpha.value = alpha_flat.reshape(net.alpha.shape)
     try:
         net.restore(window.w0)
-        for xb, yb in window.batches[:-1]:
-            loss = net.loss(net.forward(xb), yb)
-            gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
+        losses = []
+        for batch in window.batches[:-1]:
+            loss, gm = optim.loss_and_grads(net, batch, net.weight_vars())
+            losses.append(loss)
             optim.sgd_step(net.params, gm.by_name(), cfg)
         xb, yb = window.batches[-1]
-        return float(net.loss(net.forward(xb), yb).value)
+        losses.append(float(net.loss(net.forward(xb), yb).value))
+        return losses
     finally:
         net.alpha.value = saved
         net.restore(window.w0)
+
+
+def replay_final_loss(net, window, cfg, alpha_flat: np.ndarray) -> float:
+    """Final training loss of the window's plain-SGD replay at alpha.
+
+    Central differences of this function in alpha check
+    `optim.exact_hypergradient`.
+    """
+    return _replay_losses(net, window, cfg, alpha_flat)[-1]
+
+
+def replay_tse(net, window, cfg, alpha_flat: np.ndarray) -> float:
+    """TSE of the window's plain-SGD replay at alpha: its training
+    losses summed left to right, as `optim.tse_unroll` sums them.
+
+    Central differences of this function in alpha check
+    `optim.exact_tse_gradient`.
+    """
+    total = 0.0
+    for loss in _replay_losses(net, window, cfg, alpha_flat):
+        total += loss
+    return total

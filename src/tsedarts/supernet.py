@@ -165,10 +165,18 @@ class Supernet:
         params = params if params is not None else self.params
         self.forward_count += 1
         x = self._stem(batch, params)
-        mix = ad.softmax_rows(alpha)
+        mix = self._mixture(alpha)
         for layer in range(self.config.layers):
             x = self._cell(x, layer, params, mix=mix)
         return self._head(x, params)
+
+    def _mixture(self, alpha: Var) -> dict:
+        """The softmax weight of each non-Zero (edge, op) pair, keyed by
+        (edge index, op index): sliced once, shared by every cell."""
+        mix = ad.softmax_rows(alpha)
+        return {(e_idx, o_idx): ad.vslice(mix, (e_idx, o_idx))
+                for e_idx in range(len(self.topology.edges))
+                for o_idx, op in enumerate(self.ops) if op.tag != ZERO}
 
     def discrete_forward(self, batch: np.ndarray, genotype: Genotype,
                          params: dict | None = None) -> Var:
@@ -250,7 +258,7 @@ class Supernet:
         raise SupernetError(f"unknown operation tag {tag!r}")
 
     def _cell(self, x_in: Var, layer: int, params: dict,
-              mix: Var | None = None, genotype: Genotype | None = None) -> Var:
+              mix: dict | None = None, genotype: Genotype | None = None) -> Var:
         topo = self.topology
         feats = {topo.input_node: x_in}
         incoming: dict[int, list] = {}
@@ -270,13 +278,13 @@ class Supernet:
                     for o_idx, op in enumerate(self.ops):
                         out = self._apply_op(op.tag, src, layer, (i, j), params)
                         if out is not None:
-                            terms.append(ad.vslice(mix, (e_idx, o_idx)) * out)
+                            terms.append(mix[e_idx, o_idx] * out)
             if terms:
                 acc = terms[0]
                 for t in terms[1:]:
                     acc = acc + t
                 if self.config.aggregation == "mean" and len(edges_in) > 1:
-                    acc = acc * ad.const(1.0 / len(edges_in))
+                    acc = acc * (1.0 / len(edges_in))
                 feats[node] = acc
             else:
                 feats[node] = ad.const(np.zeros(x_in.shape))

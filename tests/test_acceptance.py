@@ -43,24 +43,6 @@ def tiny_batches(seed, count, batch=5, dim=2):
              rng.integers(0, 2, size=batch)) for _ in range(count)]
 
 
-def replay_tse(net, window, cfg, alpha_flat):
-    saved = net.alpha.value.copy()
-    net.alpha.value = alpha_flat.reshape(net.alpha.shape)
-    try:
-        net.restore(window.w0)
-        total = 0.0
-        for t, (xb, yb) in enumerate(window.batches):
-            loss = net.loss(net.forward(xb), yb)
-            total += float(loss.value)
-            if t < len(window.batches) - 1:
-                gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
-                optim.sgd_step(net.params, gm.by_name(), cfg)
-        return total
-    finally:
-        net.alpha.value = saved
-        net.restore(window.w0)
-
-
 def test_criterion_1_exact_hypergradient_vs_fd():
     worst = 0.0
     cases = 0
@@ -89,7 +71,7 @@ def test_criterion_2_exact_tse_gradient_vs_fd():
         cfg = optim.SGDConfig(lr=0.05)
         _, exact = optim.exact_tse_gradient(net, window, cfg)
         fd = oracles.fd_gradient(
-            lambda a: replay_tse(net, window, cfg, a),
+            lambda a: oracles.replay_tse(net, window, cfg, a),
             net.alpha.value.ravel(), step=1e-5)
         err = np.max(np.abs(exact.ravel() - fd)) / max(np.max(np.abs(fd)), 1e-8)
         worst = max(worst, err)

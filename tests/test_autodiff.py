@@ -308,3 +308,120 @@ def test_step_leaves_no_reference_cycle(create_graph):
         assert not alive
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------------------
+# scalar operands, vmean and broadcast_to: attributes, not leaves
+# ------------------------------------------------------------------
+
+C = 1.7
+# name -> (Var function, numpy twin, input shape)
+SCALAR_CASES = {
+    "add": (lambda v: ad.add(v, C), lambda t: t + C, (3, 4)),
+    "radd": (lambda v: ad.add(C, v), lambda t: C + t, (3, 4)),
+    "sub": (lambda v: ad.sub(v, C), lambda t: t - C, (3, 4)),
+    "rsub": (lambda v: ad.sub(C, v), lambda t: C - t, (3, 4)),
+    "mul": (lambda v: ad.mul(v, C), lambda t: t * C, (3, 4)),
+    "rmul": (lambda v: ad.mul(C, v), lambda t: C * t, (3, 4)),
+    "div": (lambda v: ad.div(v, C), lambda t: t / C, (3, 4)),
+    "rdiv": (lambda v: ad.div(C, v), lambda t: C / t, (3, 4)),
+    "vmean-all": (lambda v: ad.vmean(v), lambda t: t.mean(), (3, 4)),
+    "vmean-axis1": (lambda v: ad.vmean(v, axis=1), lambda t: t.mean(axis=1), (3, 4)),
+    "vmean-axis1-keepdims": (lambda v: ad.vmean(v, axis=1, keepdims=True),
+                             lambda t: t.mean(axis=1, keepdims=True), (3, 4)),
+    "vmean-axis0-keepdims": (lambda v: ad.vmean(v, axis=0, keepdims=True),
+                             lambda t: t.mean(axis=0, keepdims=True), (3, 4)),
+    "broadcast_to": (lambda v: ad.broadcast_to(v, (2, 3, 4)),
+                     lambda t: np.broadcast_to(t, (2, 3, 4)), (3, 1)),
+}
+
+
+def _scalar_case(name):
+    op, op_np, shape = SCALAR_CASES[name]
+    rng = np.random.default_rng(8)
+    theta = 0.5 + rng.random(shape)   # away from 0 for rdiv
+    w = rng.standard_normal(np.shape(op_np(theta)))
+
+    def f_var(leaf):
+        return ad.vsum(ad.vtanh(op(leaf)) * ad.const(w))
+
+    def f_np(flat):
+        return float(np.sum(np.tanh(op_np(flat.reshape(shape))) * w))
+
+    return f_var, f_np, theta
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_operand_ops_gradient_vs_fd(name):
+    f_var, f_np, theta = _scalar_case(name)
+    leaf = ad.param(theta, "x")
+    (g,) = ad.grad(f_var(leaf), [leaf])
+    fd = fd_gradient(f_np, theta.ravel(), step=1e-6).reshape(theta.shape)
+    assert np.max(np.abs(g.value - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_operand_ops_sweeps_agree(name):
+    f_var, _, theta = _scalar_case(name)
+    leaf = ad.param(theta, "x")
+    detached, graph = (ad.grad(f_var(leaf), [leaf], create_graph=cg)[0]
+                       for cg in (False, True))
+    assert detached.parents == () and graph.parents != ()
+    assert np.array_equal(detached.value, graph.value)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_operand_makes_no_leaf(name):
+    op, _, shape = SCALAR_CASES[name]
+    leaf = ad.param(np.ones(shape), "x")
+    t = ad.tape(op(leaf))
+    assert [n for n in t.nodes if not n.parents] == [leaf]
+
+
+def test_double_backward_through_scalar_ops_matches_fd_hessian():
+    rng = np.random.default_rng(9)
+    n = 5
+    theta = rng.standard_normal(n)
+    v = rng.standard_normal(n)
+
+    def f_np(t):
+        return float(np.mean(np.tanh(2.0 - 1.5 / (1.0 + t * t)) * 3.0))
+
+    x = ad.param(theta, "x")
+    f = ad.vmean(ad.vtanh(2.0 - 1.5 / (1.0 + x * x)) * 3.0)
+    (g,) = ad.grad(f, [x], create_graph=True)
+    (hv,) = ad.grad(ad.vsum(g * ad.const(v)), [x])
+    ref = fd_hessian(f_np, theta) @ v
+    assert np.linalg.norm(hv.value - ref) / np.linalg.norm(ref) < 1e-4
+
+
+def test_scalar_op_forward_overflow_rejected():
+    x = ad.param(1e200, "x")
+    with pytest.raises(ad.NonFiniteError):
+        x * 1e200
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("case", ["mul", "rdiv"])
+def test_scalar_op_cotangent_overflow_rejected(case, create_graph):
+    # mul: g*c overflows (seed 1e10 times 1e300); rdiv: the rule's x*x
+    # overflows although the forward value 1/x is finite
+    if case == "mul":
+        x = ad.param(1e-10, "x")
+        y, seed = x * 1e300, 1e10
+    else:
+        x = ad.param(1e200, "x")
+        y, seed = 1.0 / x, 1.0
+    with pytest.raises(ad.NonFiniteError):
+        ad.grad(y, [x], seed=np.asarray(seed), create_graph=create_graph)
+
+
+def test_frozen_forward_has_only_array_constants():
+    # the batch, the max-shifts of the mixture softmax and of the loss, and
+    # the one-hot labels; mean counts, eps, mean-aggregation factors and
+    # the mixture slices add no leaf
+    net, x, y = _sweep_net("s2-like-8-layers")
+    t = ad.tape(net.loss(net.forward(x), y))
+    consts = [n for n in t.nodes if not n.parents and n.name is None]
+    assert sorted(c.shape for c in consts) == [(6, 1), (32, 1), (32, 4), (32, 16)]
+    assert any(np.array_equal(c.value, x) for c in consts)

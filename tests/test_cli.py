@@ -160,6 +160,18 @@ class TestSearchCommand:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "val-frac must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("optimizer, samples, split", [
+        ("tse-darts", 33, "train"),        # 33 train samples, batches of 8
+        ("darts-1st", 35, "validation"),   # 18 train, 17 validation samples
+    ])
+    def test_batch_of_one_exit_code(self, tmp_path, capsys, optimizer, samples, split):
+        out = str(tmp_path / "run")
+        argv = search_args(out, **{"--optimizer": optimizer, "--diag-val-frac": "0",
+                                   "--dataset": f"synth:2,4,{samples},0.3"})
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"the {split} split has" in err and "batch of one" in err
+
     def test_numeric_abort_exit_code(self, tmp_path, monkeypatch):
         from tsedarts import optim
 

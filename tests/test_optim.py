@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import tsedarts.autodiff as ad
-from tsedarts import optim
+from tsedarts import optim, oracles
 from tsedarts import supernet as sn
-from tsedarts.oracles import fd_gradient, replay_training_loss_sum
+from tsedarts.oracles import fd_gradient, replay_tse
 from tsedarts.space import CellTopology, OperationKind
 
 
@@ -118,30 +121,10 @@ class TestTseUnroll:
     def test_replay_oracle(self):
         # TSE value equals an independently replayed training loss sum
         net = tiny_net(seed=3)
-        batches = tiny_batches(3, 3)
-        window = optim.make_window(net, batches)
-        lr = 0.05
-        res = optim.tse_unroll(net, window, optim.SGDConfig(lr=lr))
-
-        names = sorted(window.w0)
-        sizes = {k: window.w0[k].size for k in names}
-
-        def pack(snap):
-            return np.concatenate([snap[k].ravel() for k in names])
-
-        def loss_at(wflat, batch):
-            pos = 0
-            params = {}
-            for k in names:
-                params[k] = ad.param(
-                    wflat[pos:pos + sizes[k]].reshape(window.w0[k].shape), k)
-                pos += sizes[k]
-            loss = net.loss(net.forward(batch[0], params=params), batch[1])
-            gm = ad.backward(ad.tape(loss), wrt=list(params.values()))
-            g = np.concatenate([gm.by_name()[k].ravel() for k in names])
-            return float(loss.value), g
-
-        total, _ = replay_training_loss_sum(loss_at, pack(window.w0), batches, lr)
+        window = optim.make_window(net, tiny_batches(3, 3))
+        cfg = optim.SGDConfig(lr=0.05)
+        res = optim.tse_unroll(net, window, cfg)
+        total = replay_tse(net, window, cfg, net.alpha.value.ravel())
         assert res.tse == pytest.approx(total, abs=1e-12)
 
     def test_alpha_not_modified(self):
@@ -317,3 +300,46 @@ class TestExactOracles:
         window = optim.make_window(net, tiny_batches(19, 2))
         with pytest.raises(optim.OptimError):
             optim.exact_hypergradient(net, window, optim.SGDConfig(lr=0.1), cap=10)
+
+
+class TestGraphLifetime:
+    """A step's forward graph is freed before the next step's is built."""
+
+    RUNS = {
+        "tse_unroll": lambda net, window, cfg: optim.tse_unroll(net, window, cfg),
+        "tse_darts_round": lambda net, window, cfg: optim.tse_darts_round(
+            net, window, cfg, optim.ArchOptimizer(optim.ArchOptimizerConfig())),
+        "darts_first_order_round": lambda net, window, cfg:
+            optim.darts_first_order_round(
+                net, *window.batches[:2], cfg,
+                optim.ArchOptimizer(optim.ArchOptimizerConfig())),
+        "replay_final_loss": lambda net, window, cfg: oracles.replay_final_loss(
+            net, window, cfg, net.alpha.value.ravel()),
+        "replay_tse": lambda net, window, cfg: oracles.replay_tse(
+            net, window, cfg, net.alpha.value.ravel()),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_previous_loss_dead_when_next_forward_starts(self, run):
+        net = tiny_net(seed=21)
+        window = optim.make_window(net, tiny_batches(21, 3))
+        losses, alive = [], []
+        forward, loss_fn = net.forward, net.loss
+
+        def tracked_loss(logits, targets):
+            out = loss_fn(logits, targets)
+            losses.append(weakref.ref(out))
+            return out
+
+        def checked_forward(*args, **kwargs):
+            alive.append(sum(r() is not None for r in losses))
+            return forward(*args, **kwargs)
+
+        net.loss, net.forward = tracked_loss, checked_forward
+        gc.disable()   # refcounting alone must free the graph
+        try:
+            self.RUNS[run](net, window, optim.SGDConfig(lr=0.05))
+        finally:
+            gc.enable()
+        assert len(alive) >= 2
+        assert alive == [0] * len(alive)

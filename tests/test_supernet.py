@@ -137,7 +137,7 @@ class TestForward:
         params = net.params
         x = net._stem(ds.features[:32], params)
         stem_std = np.std(x.value, axis=0).mean()
-        mix = ad.softmax_rows(net.alpha)
+        mix = net._mixture(net.alpha)
         for layer in range(8):
             x = net._cell(x, layer, params, mix=mix)
         assert np.std(x.value, axis=0).mean() >= 0.1 * stem_std
