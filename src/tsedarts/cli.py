@@ -125,7 +125,6 @@ def _reject_lone_batch(name: str, ds: datamod.Dataset, batch_size: int):
 
 def run_search(config: RunConfig) -> int:
     config.validate()
-    os.makedirs(config.out, exist_ok=True)
     started = time.time()
 
     ds = _load_dataset(config.dataset, config.seed)
@@ -161,6 +160,7 @@ def run_search(config: RunConfig) -> int:
 
     resolved["parameter_count"] = net.n_parameters()
     resolved["started"] = started
+    os.makedirs(config.out, exist_ok=True)
     with open(os.path.join(config.out, "config.json"), "w") as f:
         json.dump(resolved, f, indent=2)
 
@@ -285,7 +285,7 @@ def _suite_eigen(count: int = 10, dim: int = 10, seed: int = 0) -> dict:
         est = diag.dominant_eigenvalue(closure, np.zeros(dim))
         ref = oracles.dense_dominant_eigenvalue(
             lambda th, a=a: 0.5 * float(th @ a @ th), np.zeros(dim))
-        err = float(abs(est.eigenvalue - ref) / max(abs(ref), 1e-12))
+        err = float(abs(est - ref) / max(abs(ref), 1e-12))
         checks.append({"name": f"eigen-quadratic-{i}", "error": err,
                        "tolerance": 1e-3, "pass": bool(err < 1e-3)})
     return {"suite": "eigen", "checks": checks,

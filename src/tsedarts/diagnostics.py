@@ -3,7 +3,7 @@
 Dominant eigenvalue of the loss Hessian w.r.t. the architecture logits
 (dense Hessian from finite-difference Hessian-vector products),
 skip-connection counts, cell depth, validation accuracy, and the
-SearchTrace record assembly + serialization.
+SearchTrace record assembly with its CSV export.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .space import Genotype, cell_depth, discretize, skip_count
+from .space import ArchEncoding, Genotype, cell_depth, discretize, skip_count
 from .supernet import Supernet
 
 
@@ -23,36 +23,24 @@ class DiagnosticsError(ValueError):
     pass
 
 
-@dataclass
-class EigenEstimate:
-    eigenvalue: float
-    residual: float
-    loss_source: str          # "train" | "val"
-    zero_hessian: bool = False
-
-
-def dominant_eigenvalue(loss_closure, alpha0: np.ndarray,
-                        loss_source: str = "val") -> EigenEstimate:
+def dominant_eigenvalue(loss_closure, alpha0: np.ndarray) -> float:
     """Eigenvalue of largest magnitude of the dense alpha-Hessian.
 
     `loss_closure(alpha_flat)` rebuilds the loss at the given logits and
     returns (loss Var, leaf Var).  One Hessian-vector product along each
-    basis vector gives the n columns; the symmetrised matrix is
-    decomposed exactly, and one more product along the chosen
-    eigenvector gives the residual ||Hv - lambda v||.  n + 1 products in
-    all: alpha has 12 (s2-like) or 24 (nb201-like) entries.
+    basis vector gives the n columns, and the symmetrised matrix is
+    decomposed exactly: n products in all, for the 12 (s2-like) or 24
+    (nb201-like) entries of alpha.  A Hessian of norm below 1e-10 reads
+    0.0.
     """
     theta = np.asarray(alpha0, dtype=np.float64).ravel()
     h = np.stack([ad.hvp(loss_closure, theta, e) for e in np.eye(theta.size)],
                  axis=1)
     h = 0.5 * (h + h.T)
     if np.linalg.norm(h) < 1e-10:
-        return EigenEstimate(0.0, 0.0, loss_source, zero_hessian=True)
-    evals, evecs = np.linalg.eigh(h)
-    k = int(np.argmax(np.abs(evals)))
-    lam, vec = float(evals[k]), evecs[:, k]
-    residual = float(np.linalg.norm(ad.hvp(loss_closure, theta, vec) - lam * vec))
-    return EigenEstimate(lam, residual, loss_source)
+        return 0.0
+    evals = np.linalg.eigh(h)[0]   # eigvalsh differs in the last bits
+    return float(evals[int(np.argmax(np.abs(evals)))])
 
 
 def alpha_loss_closure(net: Supernet, batch):
@@ -103,10 +91,9 @@ class EpochRecord:
     eig_val: float | None
     eig_train: float | None
     genotype: Genotype
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "epoch": self.epoch,
             "tse": self.tse,
             "train_loss": self.train_loss,
@@ -117,20 +104,6 @@ class EpochRecord:
             "eig_train": self.eig_train,
             "genotype": json.loads(self.genotype.to_json()),
         }
-        d.update(self.extra)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpochRecord":
-        known = {"epoch", "tse", "train_loss", "val_acc", "skip_count",
-                 "depth", "eig_val", "eig_train", "genotype"}
-        return cls(
-            epoch=d["epoch"], tse=d["tse"], train_loss=d["train_loss"],
-            val_acc=d["val_acc"], skip_count=d["skip_count"], depth=d["depth"],
-            eig_val=d["eig_val"], eig_train=d["eig_train"],
-            genotype=Genotype.from_json(json.dumps(d["genotype"])),
-            extra={k: v for k, v in d.items() if k not in known},
-        )
 
 
 CSV_COLUMNS = ["epoch", "tse", "train_loss", "val_acc", "skip_count",
@@ -146,17 +119,6 @@ class SearchTrace:
             raise DiagnosticsError("epochs must be strictly increasing")
         self.records.append(record)
 
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_dict()) + "\n" for r in self.records)
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "SearchTrace":
-        trace = cls()
-        for line in text.splitlines():
-            if line.strip():
-                trace.records.append(EpochRecord.from_dict(json.loads(line)))
-        return trace
-
     def write_csv(self, path: str):
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
@@ -170,14 +132,12 @@ def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
                  tse: float | None, train_loss: float,
                  val_ds=None, eigen_batches: dict | None = None,
                  # ignored: the eigen route has no options (perfbench still passes them)
-                 eigen_opts: dict | None = None,
-                 extra: dict | None = None) -> SearchTrace:
+                 eigen_opts: dict | None = None) -> SearchTrace:
     """Append one complete record; read-only with respect to (w, alpha).
 
     `eigen_batches` maps loss source ("train"/"val") to a fixed
     diagnostic batch; enabled metrics must have their data configured.
     """
-    from .space import ArchEncoding
     encoding = ArchEncoding(net.alpha.value.copy())
     genotype = discretize(encoding, net.topology, net.ops)
     val_acc = None
@@ -187,15 +147,14 @@ def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
     for source, batch in (eigen_batches or {}).items():
         if source not in eig:
             raise DiagnosticsError(f"unknown eigenvalue loss source {source!r}")
-        est = dominant_eigenvalue(alpha_loss_closure(net, batch),
-                                  net.alpha.value, loss_source=source)
-        eig[source] = est.eigenvalue
+        eig[source] = dominant_eigenvalue(alpha_loss_closure(net, batch),
+                                          net.alpha.value)
     record = EpochRecord(
         epoch=epoch, tse=tse, train_loss=train_loss, val_acc=val_acc,
         skip_count=skip_count(genotype),
         depth=cell_depth(genotype, net.topology),
         eig_val=eig["val"], eig_train=eig["train"],
-        genotype=genotype, extra=extra or {},
+        genotype=genotype,
     )
     trace.append(record)
     return trace

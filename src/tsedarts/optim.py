@@ -1,11 +1,12 @@
 """Weight training and architecture updates.
 
-Covers plain-SGD weight steps, the first-order validation-loss
-architecture step, the training-speed-estimate (TSE) unrolling round
-(accumulated direct gradients, snapshot/restore, retrain), and the
-exact unrolled hypergradient computed by differentiating through the
-whole weight-update recurrence.  The exact routes are the verification
-oracles for the cheap accumulated approximation.
+Covers plain-SGD weight steps, the Adam step on alpha, the first-order
+validation-loss architecture round, the training-speed-estimate (TSE)
+unrolling round (accumulated direct gradients, snapshot/restore,
+retrain), and the exact unrolled hypergradient computed by
+differentiating through the whole weight-update recurrence.  The exact
+routes are the verification oracles for the cheap accumulated
+approximation.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ class SGDConfig:
 class ArchOptimizerConfig:
     lr: float = 3e-4
     weight_decay: float = 1e-3
-    kind: str = "adam"   # "adam" | "sgd"
 
     def __post_init__(self):
         if self.lr <= 0:
             raise OptimError("architecture learning rate must be > 0")
-        if self.kind not in ("adam", "sgd"):
-            raise OptimError(f"unknown architecture optimizer {self.kind!r}")
 
 
 @dataclass
@@ -64,10 +62,6 @@ class UnrollWindow:
         if not self.batches:
             raise OptimError("unrolling window needs at least one batch")
 
-    @property
-    def steps(self) -> int:
-        return len(self.batches)
-
 
 def make_window(net: Supernet, batches: list) -> UnrollWindow:
     return UnrollWindow(net.snapshot(), list(batches))
@@ -78,7 +72,6 @@ class TSEResult:
     tse: float
     step_losses: list
     alpha_grad: np.ndarray
-    w_final: dict
     forward_passes: int
     backward_passes: int
 
@@ -102,8 +95,8 @@ def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
 
 
 class ArchOptimizer:
-    """Architecture step on alpha: plain SGD or Adam with DARTS-style
-    defaults (lr 3e-4, betas (0.5, 0.999), weight decay 1e-3)."""
+    """Architecture step on alpha: Adam with DARTS-style defaults
+    (lr 3e-4, betas (0.5, 0.999), weight decay 1e-3)."""
 
     def __init__(self, cfg: ArchOptimizerConfig):
         self.cfg = cfg
@@ -115,9 +108,6 @@ class ArchOptimizer:
         if not ad.all_finite(grad):
             raise OptimError("non-finite architecture gradient")
         g = grad + self.cfg.weight_decay * alpha.value
-        if self.cfg.kind == "sgd":
-            alpha.value = alpha.value - self.cfg.lr * g
-            return
         b1, b2, eps = 0.5, 0.999, 1e-8
         if self.m is None:
             self.m = np.zeros_like(alpha.value)
@@ -158,7 +148,6 @@ def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult
         tse=tse,
         step_losses=step_losses,
         alpha_grad=alpha_grad,
-        w_final=net.snapshot(),
         forward_passes=net.forward_count - fwd0,
         backward_passes=ad.BACKWARD_CALLS - bwd0,
     )

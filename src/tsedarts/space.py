@@ -1,15 +1,16 @@
 """Cell topologies, candidate operation sets, architecture encodings.
 
 A cell is a DAG over nodes 0..n-1 (node 0 is the cell input, node n-1
-the output) with edges (i, j), i < j.  Each edge carries one softmax
-vector over the operation set; argmax per edge turns the continuous
-encoding into a discrete genotype.
+the output) with edges (i, j), i < j.  Each edge carries one logit
+vector over the operation set (the supernet mixes the operations by its
+softmax); argmax per edge turns the continuous encoding into a discrete
+genotype.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,6 @@ LINEAR = "ParamLinear"
 CONV3X3 = "ParamConv3x3"
 AVGPOOL = "AvgPool"
 
-PARAMETRIC_OPS = {LINEAR, CONV3X3}
 KNOWN_OPS = {ZERO, SKIP, LINEAR, CONV3X3, AVGPOOL}
 
 
@@ -37,10 +37,6 @@ class OperationKind:
     def __post_init__(self):
         if self.tag not in KNOWN_OPS:
             raise SpaceError(f"unknown operation tag {self.tag!r}")
-
-    @property
-    def parametric(self) -> bool:
-        return self.tag in PARAMETRIC_OPS
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,6 @@ class ArchEncoding:
         if not np.all(np.isfinite(self.table)):
             raise SpaceError("non-finite architecture encoding")
 
-    @classmethod
-    def uniform(cls, topology: CellTopology, ops: Sequence[OperationKind]) -> "ArchEncoding":
-        return cls(np.zeros((len(topology.edges), len(ops))))
-
 
 @dataclass(frozen=True)
 class Genotype:
@@ -122,24 +114,11 @@ class Genotype:
         return cls(edges, ops, doc.get("topology", "custom"))
 
 
-def mixture_weights(alpha_edge: np.ndarray) -> np.ndarray:
-    """Softmax over one edge's operation logits."""
-    a = np.asarray(alpha_edge, dtype=np.float64)
-    if a.size == 0:
-        raise SpaceError("empty operation set")
-    if not np.all(np.isfinite(a)):
-        raise SpaceError("non-finite alpha")
-    e = np.exp(a - a.max())
-    return e / e.sum()
-
-
 def discretize(encoding: ArchEncoding, topology: CellTopology,
-               ops: Sequence[OperationKind], rule: str = "argmax-per-edge") -> Genotype:
+               ops: Sequence[OperationKind]) -> Genotype:
     """argmax per edge (ties -> lowest op index)."""
     if encoding.table.shape != (len(topology.edges), len(ops)):
         raise SpaceError("encoding does not cover the topology")
-    if rule != "argmax-per-edge":
-        raise SpaceError(f"unknown discretization rule {rule!r}")
     chosen = [ops[int(np.argmax(row))] for row in encoding.table]
     return Genotype(tuple(topology.edges), tuple(chosen), topology.preset)
 
@@ -162,13 +141,12 @@ def _full_dag(nodes: int) -> tuple:
     return tuple((i, j) for i in range(nodes) for j in range(i + 1, nodes))
 
 
-def make_space(preset: str, features: str = "vector",
-               custom_topology: CellTopology | None = None,
-               custom_ops: Sequence[OperationKind] | None = None):
+def make_space(preset: str, features: str = "vector"):
     """Return (CellTopology, operation tuple) for a named preset.
 
     `features` picks the parametric kernel: dense for vector data,
-    3x3 convolution for image data.
+    3x3 convolution for image data.  Other cells are passed to
+    `Supernet` as a topology and an operation tuple.
     """
     if features not in ("vector", "image"):
         raise SpaceError(f"unknown feature kind {features!r}")
@@ -182,8 +160,4 @@ def make_space(preset: str, features: str = "vector",
         topo = CellTopology(4, _full_dag(4), preset)
         ops = (OperationKind(SKIP), OperationKind(parametric))
         return topo, ops
-    if preset == "custom":
-        if custom_topology is None or not custom_ops:
-            raise SpaceError("custom preset needs a topology and a nonempty operation set")
-        return custom_topology, tuple(custom_ops)
     raise SpaceError(f"unknown preset {preset!r}")

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .space import (AVGPOOL, CONV3X3, LINEAR, SKIP, ZERO, ArchEncoding,
-                    CellTopology, Genotype, OperationKind, make_space)
+from .space import (AVGPOOL, CONV3X3, LINEAR, SKIP, ZERO, CellTopology,
+                    Genotype, make_space)
 
 
 class SupernetError(ValueError):
@@ -90,7 +90,7 @@ def _avg_matrix(d: int) -> np.ndarray:
 
 
 class Supernet:
-    """Stacked cells over a shared ArchEncoding.
+    """Stacked cells over shared architecture logits.
 
     `params` maps weight names to leaf Vars; `alpha` is a separate
     (n_edges, n_ops) leaf.  Forward is a pure function of
@@ -196,8 +196,6 @@ class Supernet:
     def _resolve_alpha(self, alpha) -> Var:
         if alpha is None:
             return self.alpha
-        if isinstance(alpha, ArchEncoding):
-            alpha = alpha.table
         if not isinstance(alpha, Var):
             alpha = ad.const(alpha)
         if alpha.shape != self.alpha.shape:

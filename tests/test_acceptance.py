@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 import tsedarts.autodiff as ad
-from tsedarts import cli, data, diagnostics as dg, optim, oracles
+from tsedarts import cli, optim, oracles
 from tsedarts import supernet as sn
-from tsedarts.space import (SKIP, ZERO, ArchEncoding, CellTopology, Genotype,
-                            OperationKind, cell_depth, discretize,
-                            mixture_weights)
+from tsedarts.space import (SKIP, ArchEncoding, CellTopology, Genotype,
+                            OperationKind, cell_depth, discretize)
 
 
 def report(num, name, ok, detail):
@@ -148,22 +147,11 @@ def test_criterion_5_restore_contract():
 
 
 def test_criterion_6_eigenvalue_estimator():
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for i in range(20):
-        m = rng.standard_normal((10, 10))
-        h = 0.5 * (m + m.T)
-
-        def closure(theta, h=h):
-            leaf = ad.param(theta.reshape(1, -1), name="theta")
-            return ad.vsum((leaf @ ad.const(h)) * leaf) * ad.const(0.5), leaf
-
-        est = dg.dominant_eigenvalue(closure, np.zeros(10))
-        ref = oracles.dense_dominant_eigenvalue(
-            lambda th, h=h: 0.5 * float(th @ h @ th), np.zeros(10))
-        worst = max(worst, abs(est.eigenvalue - ref) / abs(ref))
+    suite = cli._suite_eigen(count=20)
+    worst = max(c["error"] for c in suite["checks"])
     report(6, "dense HVP-Hessian eigenvalue vs dense FD decomposition",
-           worst <= 1e-3, f"20 quadratics, worst rel err {worst:.3e}, tol 1e-3")
+           len(suite["checks"]) == 20 and worst <= 1e-3,
+           f"20 quadratics, worst rel err {worst:.3e}, tol 1e-3")
 
 
 def _darts_style_cell(rng):
@@ -178,18 +166,10 @@ def _darts_style_cell(rng):
 
 
 def test_criterion_7_depth_metric():
-    rng = np.random.default_rng(1)
-    mismatches = 0
-    for _ in range(100):
-        n, edges = oracles.random_dag(rng)
-        topo = CellTopology(n, tuple(edges))
-        ops = tuple(OperationKind(rng.choice([ZERO, SKIP])) for _ in edges)
-        g = Genotype(tuple(edges), ops)
-        kept = [e for e, op in zip(edges, ops) if op.tag != ZERO]
-        if cell_depth(g, topo) != oracles.brute_force_longest_path(
-                n, kept, 0, n - 1):
-            mismatches += 1
+    (check,) = cli._suite_depth(count=100, seed=1)["checks"]
+    mismatches = check["error"]
 
+    rng = np.random.default_rng(1)
     depths = set()
     for _ in range(300):
         topo = _darts_style_cell(rng)
@@ -260,6 +240,11 @@ def test_criterion_8_skip_collapse_contrast(collapse_runs):
            f"and median_t <= {0.25 * n_edges}")
 
 
+def _softmax_row(row):
+    """The supernet's mixture weights of one edge."""
+    return ad.softmax_rows(ad.const(row[None, :])).value[0]
+
+
 def test_criterion_9_softmax_argmax_shift_invariance():
     rng = np.random.default_rng(2)
     topo = CellTopology(4, tuple((i, j) for i in range(4)
@@ -273,7 +258,7 @@ def test_criterion_9_softmax_argmax_shift_invariance():
         shifted = table + shifts
         for row, row_s in zip(table, shifted):
             worst = max(worst, float(np.max(np.abs(
-                mixture_weights(row) - mixture_weights(row_s)))))
+                _softmax_row(row) - _softmax_row(row_s)))))
         g1 = discretize(ArchEncoding(table), topo, ops)
         g2 = discretize(ArchEncoding(shifted), topo, ops)
         geno_ok = geno_ok and g1 == g2

@@ -172,6 +172,15 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert f"the {split} split has" in err and "batch of one" in err
 
+    @pytest.mark.parametrize("spec", ["synth:2,4", "synth:2,4,33,0.3"])
+    def test_rejected_search_leaves_no_out_dir(self, tmp_path, capsys, spec):
+        # a malformed spec, and a train split ending in a batch of one
+        out = str(tmp_path / "run")
+        argv = search_args(out, **{"--diag-val-frac": "0", "--dataset": spec})
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_numeric_abort_exit_code(self, tmp_path, monkeypatch):
         from tsedarts import optim
 

@@ -26,47 +26,33 @@ class TestDominantEigenvalue:
     def test_known_diagonal_spectrum(self):
         h = np.diag([5.0, 2.0, 1.0])
         est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
-        assert est.eigenvalue == pytest.approx(5.0, abs=1e-3)
-        assert not est.zero_hessian
+        assert est == pytest.approx(5.0, abs=1e-3)
 
     def test_constant_loss_zero_hessian_flag(self):
         def closure(theta):
             leaf = ad.param(theta, name="theta")
             return ad.const(2.5) + ad.const(0.0) * ad.vsum(leaf), leaf
-        est = dg.dominant_eigenvalue(closure, np.zeros(4))
-        assert est.eigenvalue == 0.0
-        assert est.zero_hessian
+        assert dg.dominant_eigenvalue(closure, np.zeros(4)) == 0.0
 
     def test_negative_dominant_eigenvalue_found(self):
         h = np.diag([3.0, -7.0, 1.0])
         est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
-        assert est.eigenvalue == pytest.approx(-7.0, abs=1e-3)
+        assert est == pytest.approx(-7.0, abs=1e-3)
 
-    def test_matches_dense_oracle_on_random_quadratics(self):
-        rng = np.random.default_rng(0)
-        for trial in range(5):
-            m = rng.standard_normal((10, 10))
-            h = 0.5 * (m + m.T)
-            est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(10))
-
-            def f(theta):
-                return float(0.5 * theta @ h @ theta)
-
-            want = dense_dominant_eigenvalue(f, np.zeros(10))
-            assert abs(est.eigenvalue - want) / abs(want) < 1e-3
-
-    def test_residual_bound_reported(self):
-        h = np.diag([4.0, 1.0])
-        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(2))
-        assert est.residual < 1e-3 * max(1.0, abs(est.eigenvalue))
+    def test_one_hvp_per_alpha_entry(self):
+        # each finite-difference HVP is two backward sweeps
+        for n in (2, 5):
+            before = ad.BACKWARD_CALLS
+            dg.dominant_eigenvalue(quad_closure(np.diag(np.arange(1.0, n + 1))),
+                                   np.zeros(n))
+            assert ad.BACKWARD_CALLS - before == 2 * n
 
     def test_alpha_closure_on_supernet(self):
         net = make_net()
         rng = np.random.default_rng(1)
         batch = (rng.standard_normal((8, 4)), rng.integers(0, 2, size=8))
         closure = dg.alpha_loss_closure(net, batch)
-        est = dg.dominant_eigenvalue(closure, net.alpha.value)
-        assert np.isfinite(est.eigenvalue)
+        assert np.isfinite(dg.dominant_eigenvalue(closure, net.alpha.value))
 
     @pytest.mark.parametrize("preset,seed", [("s2-like", 0), ("s2-like", 1),
                                              ("s2-like", 2), ("s2-like", 3),
@@ -205,14 +191,6 @@ class TestSearchTrace:
         batch = (np.zeros((2, 4)), np.zeros(2, dtype=int))
         with pytest.raises(dg.DiagnosticsError):
             self._record(net, 0, eigen_batches={"test": batch})
-
-    def test_jsonl_round_trip(self):
-        net = make_net()
-        trace = dg.SearchTrace()
-        for e in range(3):
-            dg.record_epoch(trace, net, e, tse=float(e), train_loss=0.1 * e)
-        back = dg.SearchTrace.from_jsonl(trace.to_jsonl())
-        assert back.records == trace.records
 
     def test_csv_columns_exact(self, tmp_path):
         net = make_net()

@@ -57,13 +57,6 @@ class TestSgdStep:
 
 
 class TestArchOptimizer:
-    def test_sgd_kind(self):
-        opt = optim.ArchOptimizer(optim.ArchOptimizerConfig(
-            lr=0.5, weight_decay=0.0, kind="sgd"))
-        a = ad.param(np.array([[1.0, 2.0]]), "alpha")
-        opt.step(a, np.array([[2.0, -2.0]]))
-        assert np.allclose(a.value, [[0.0, 3.0]])
-
     def test_adam_first_step_magnitude(self):
         # bias-corrected Adam's first step has magnitude ~lr
         opt = optim.ArchOptimizer(optim.ArchOptimizerConfig(
@@ -82,8 +75,6 @@ class TestArchOptimizer:
     def test_invalid_config_rejected(self):
         with pytest.raises(optim.OptimError):
             optim.ArchOptimizerConfig(lr=0.0)
-        with pytest.raises(optim.OptimError):
-            optim.ArchOptimizerConfig(kind="rmsprop")
 
 
 class TestUnrollWindow:
@@ -94,7 +85,7 @@ class TestUnrollWindow:
     def test_steps_counts_batches(self):
         net = tiny_net()
         window = optim.make_window(net, tiny_batches(0, 3))
-        assert window.steps == 3
+        assert len(window.batches) == 3
 
 
 class TestTseUnroll:
@@ -209,7 +200,7 @@ class TestDartsFirstOrder:
         (tb,), (vb,) = tiny_batches(13, 1), tiny_batches(14, 1)
         w_cfg = optim.SGDConfig(lr=0.1)
         arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(
-            lr=0.5, weight_decay=0.0, kind="sgd"))
+            lr=0.5, weight_decay=0.0))
         optim.darts_first_order_round(net, tb, vb, w_cfg, arch)
         # manual: weight step on train loss
         loss = ref.loss(ref.forward(tb[0]), tb[1])
@@ -218,7 +209,11 @@ class TestDartsFirstOrder:
             p.value = p.value - 0.1 * gm.by_name()[k]
         # then alpha step on val loss at the updated weights
         (ga,) = ad.grad(ref.loss(ref.forward(vb[0]), vb[1]), [ref.alpha])
-        ref.alpha.value = ref.alpha.value - 0.5 * ga.value
+        # Adam's first step, bias-corrected, betas (0.5, 0.999), eps 1e-8
+        g = ga.value
+        m, v = 0.5 * g, 0.001 * g * g
+        m_hat, v_hat = m / (1 - 0.5), v / 0.001
+        ref.alpha.value = ref.alpha.value - 0.5 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert net.checksum() == ref.checksum()
         assert np.max(np.abs(net.alpha.value - ref.alpha.value)) < 1e-15
 
