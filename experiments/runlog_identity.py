@@ -12,9 +12,10 @@ PARENT_SRC and CHANGE_SRC are `src/` directories, each holding a
 - `nb201-image`: tse-darts in the nb201-like space on 256 generated
   1x8x8 IDX images, 2 layers, width 4, T = 10, 3 epochs, eigen on.
 
-For each run it compares `runlog.jsonl` (every record without `time`),
-`params.bin`, `genotype.json` and `metrics.csv`, prints one line per file
-and a JSON summary, and exits 0 when every file is identical, 1 otherwise.
+For each run it compares `runlog.jsonl` (every record, keys in order,
+with the `time` value blanked), `params.bin`, `genotype.json`,
+`metrics.csv` and `config.json` (without `started` and `out`), prints
+one line per file and a JSON summary, and exits 0 when every file is identical, 1 otherwise.
 It is a tool for changes meant to keep the numbers bit for bit; it is not
 part of the test suite.  BLAS is pinned to one thread in both runs.
 """
@@ -44,7 +45,7 @@ CONFIGS = {
                     "--epochs", "3", "--diag-eigen", "on", "--diag-val-frac", "0.1",
                     "--seed", "0", "--optimizer", "tse-darts"],
 }
-FILES = ("runlog.jsonl", "params.bin", "genotype.json", "metrics.csv")
+FILES = ("runlog.jsonl", "params.bin", "genotype.json", "metrics.csv", "config.json")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                  "MKL_NUM_THREADS": "1"}
 
@@ -79,14 +80,22 @@ def run(src: str, argv: list, out: str):
 
 
 def comparable(path: str) -> bytes:
+    """The file's bytes, with the fields that differ between any two runs
+    blanked.  Records are re-serialised in their own key order, so a
+    change of key order shows as a difference."""
     with open(path, "rb") as f:
         raw = f.read()
-    if not path.endswith(".jsonl"):
-        return raw
-    records = [json.loads(line) for line in raw.splitlines() if line.strip()]
-    for rec in records:
-        rec.pop("time")
-    return json.dumps(records, sort_keys=True).encode()
+    if path.endswith(".jsonl"):
+        records = [json.loads(line) for line in raw.splitlines() if line.strip()]
+        for rec in records:
+            rec["time"] = None
+        return json.dumps(records).encode()
+    if path.endswith("config.json"):
+        doc = json.loads(raw)
+        doc.pop("started")
+        doc.pop("out")
+        return json.dumps(doc, indent=2).encode()
+    return raw
 
 
 def main() -> int:

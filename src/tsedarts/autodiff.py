@@ -2,7 +2,9 @@
 
 Every value is a `Var` wrapping a numpy array.  Ops build an implicit
 graph; `tape(root)` captures a topologically ordered, single-use record
-of one forward evaluation, and `backward` replays it in reverse.
+of one forward evaluation, and `backward` replays it in reverse and
+returns the gradients of the requested leaves as a list, in the order
+they were requested.
 
 Arrays are graph nodes: parameters (named leaves), constants (unnamed
 leaves, such as a batch) and op results.  Python scalars are not:
@@ -136,10 +138,6 @@ class Var:
 
     def mean(self, axis=None, keepdims=False):
         return vmean(self, axis=axis, keepdims=keepdims)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def as_var(x) -> Var:
@@ -516,34 +514,15 @@ def tape(root: Var) -> Tape:
     return Tape(root)
 
 
-class GradMap:
-    """Gradients keyed by Var identity, with name-based access."""
-
-    def __init__(self, grads: dict, wrt: Sequence[Var]):
-        self._grads = grads
-        self._wrt = list(wrt)
-
-    def get(self, v: Var) -> Var:
-        g = self._grads.get(id(v))
-        if g is None:
-            g = const(np.zeros(v.shape))
-        return g
-
-    def array(self, v: Var) -> np.ndarray:
-        return self.get(v).value
-
-    def by_name(self) -> dict:
-        return {v.name: self.array(v) for v in self._wrt if v.name is not None}
-
-
-def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = False) -> GradMap:
-    """Reverse sweep over a tape; returns gradients for `wrt`.
+def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = False) -> list:
+    """Reverse sweep over a tape; returns the gradients of `wrt`, in order.
 
     With `create_graph=True` the VJP rules run on `Var`s and the
     returned gradients are graph nodes that can themselves be
     differentiated.  Otherwise they run on plain arrays, each value
     checked as a `Var` would be, and the gradients come back as
-    constants.  Tapes are single-use.
+    constants.  A leaf the root does not reach gets a zero constant.
+    Tapes are single-use.
     """
     global BACKWARD_CALLS
     if t.consumed:
@@ -584,34 +563,33 @@ def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = F
         if id(node) not in want:
             del grads[id(node)]
 
-    out = {id(v): grads[id(v)] for v in wrt if id(v) in grads}
-    if not create_graph:
-        out = {key: const(v) for key, v in out.items()}
-    return GradMap(out, wrt)
+    out = []
+    for v in wrt:
+        g = grads.get(id(v))
+        if g is None:
+            out.append(const(np.zeros(v.shape)))
+        else:
+            out.append(g if create_graph else const(g))
+    return out
 
 
 def grad(output: Var, wrt: Sequence[Var], seed=None, create_graph: bool = False) -> list:
-    """Convenience: fresh tape + backward, returning grads in order."""
-    gm = backward(tape(output), seed=seed, wrt=wrt, create_graph=create_graph)
-    return [gm.get(v) for v in wrt]
+    """Convenience: fresh tape + backward."""
+    return backward(tape(output), seed=seed, wrt=wrt, create_graph=create_graph)
 
 
 # ------------------------------------------------------------------
 # Hessian-vector product
 # ------------------------------------------------------------------
 
-def default_fd_eps(theta: np.ndarray) -> float:
-    scale = float(np.max(np.abs(theta))) if theta.size else 0.0
-    return 1e-4 * (1.0 + scale)
-
-
 def hvp(loss_closure: Callable[[np.ndarray], tuple], theta: np.ndarray,
-        direction: np.ndarray, eps: float | None = None) -> np.ndarray:
+        direction: np.ndarray) -> np.ndarray:
     """Central-difference Hessian-vector product.
 
     `loss_closure(theta_flat)` must rebuild the loss and return
     `(loss Var, leaf Var)` where the leaf holds theta.  Returns
-    (grad(theta + eps v) - grad(theta - eps v)) / (2 eps), flat.
+    (grad(theta + eps v) - grad(theta - eps v)) / (2 eps), flat, with
+    eps = 1e-4 (1 + max |theta|).
     """
     theta = np.asarray(theta, dtype=np.float64).ravel()
     v = np.asarray(direction, dtype=np.float64).ravel()
@@ -619,10 +597,7 @@ def hvp(loss_closure: Callable[[np.ndarray], tuple], theta: np.ndarray,
         raise ShapeError("direction length does not match parameter length")
     if v.size == 0:
         raise ShapeError("zero-length direction")
-    if eps is None:
-        eps = default_fd_eps(theta)
-    if eps <= 0:
-        raise AutodiffError("epsilon must be positive")
+    eps = 1e-4 * (1.0 + float(np.max(np.abs(theta))))
 
     def g(at: np.ndarray) -> np.ndarray:
         loss, leaf = loss_closure(at)

@@ -63,7 +63,11 @@ class RunConfig:
             raise ConfigError("layers and epochs must be >= 1")
         if self.lr <= 0 or self.arch_lr <= 0:
             raise ConfigError("learning rates must be > 0")
-        if self.optimizer == "tse-darts" and (self.val_frac or 0.0) > 0.0:
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be >= 1")
+        if not (0.0 <= self.diag_val_frac < 1.0):
+            raise ConfigError("diag-val-frac must be in [0, 1)")
+        if self.optimizer == "tse-darts" and self.val_frac not in (None, 0.0):
             raise ConfigError(
                 "tse-darts searches use no validation split (val-frac must be 0); "
                 "use --diag-val-frac for a diagnostics-only split")
@@ -143,6 +147,10 @@ def run_search(config: RunConfig) -> int:
                                          seed=config.seed + 2))
     else:
         train_ds, sval_ds = search_ds, None
+    if config.batch_size > len(train_ds):
+        raise ConfigError(
+            f"batch size {config.batch_size} exceeds the {len(train_ds)} "
+            "samples of the train split")
     _reject_lone_batch("train", train_ds, config.batch_size)
     if sval_ds is not None:
         val_batch = min(config.batch_size, len(sval_ds))
@@ -203,9 +211,7 @@ def run_search(config: RunConfig) -> int:
                 diag.record_epoch(
                     trace, net, epoch, tse=tse_value, train_loss=train_loss,
                     val_ds=diag_ds, eigen_batches=eigen_batches)
-                rec = trace.records[-1].to_dict()
-                rec["seed"] = config.seed
-                rec["time"] = time.time()
+                rec = dict(trace.records[-1], seed=config.seed, time=time.time())
                 runlog.write(json.dumps(rec) + "\n")
                 runlog.flush()
     except (optim.UnrollAbort, ad.NonFiniteError, optim.OptimError) as err:
@@ -215,10 +221,8 @@ def run_search(config: RunConfig) -> int:
         return EXIT_NUMERIC
 
     trace.write_csv(os.path.join(config.out, "metrics.csv"))
-    encoding = spacemod.ArchEncoding(net.alpha.value.copy())
-    genotype = spacemod.discretize(encoding, net.topology, net.ops)
     with open(os.path.join(config.out, "genotype.json"), "w") as f:
-        f.write(genotype.to_json() + "\n")
+        f.write(json.dumps(trace.records[-1]["genotype"], indent=2) + "\n")
     snmod.save_checkpoint(net, config.out)
     return EXIT_OK
 
@@ -316,6 +320,9 @@ def run_verify(suite: str, out_path: str | None = None) -> int:
               "depth": _suite_depth}
     if suite != "all" and suite not in suites:
         raise ConfigError(f"unknown suite {suite!r}")
+    if out_path and (os.path.isdir(out_path)
+                     or not os.path.isdir(os.path.dirname(out_path) or ".")):
+        raise ConfigError(f"--out {out_path}: not a file path in an existing directory")
     names = list(suites) if suite == "all" else [suite]
     report = {"suites": [suites[n]() for n in names]}
     report["pass"] = all(s["pass"] for s in report["suites"])
@@ -340,6 +347,8 @@ _TRAJECTORIES = {
 
 
 def _find_runlogs(run_dir: str) -> list:
+    if not os.path.isdir(run_dir):
+        raise ConfigError(f"{run_dir} is not a directory")
     direct = os.path.join(run_dir, "runlog.jsonl")
     if os.path.exists(direct):
         return [direct]

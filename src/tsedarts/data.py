@@ -43,10 +43,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    @property
-    def kind(self) -> str:
-        return "vector" if self.features.ndim == 2 else "image"
-
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx], self.classes)
 

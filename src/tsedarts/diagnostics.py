@@ -2,8 +2,9 @@
 
 Dominant eigenvalue of the loss Hessian w.r.t. the architecture logits
 (dense Hessian from finite-difference Hessian-vector products),
-skip-connection counts, cell depth, validation accuracy, and the
-SearchTrace record assembly with its CSV export.
+skip-connection counts, cell depth and validation accuracy, gathered
+once per epoch into a runlog record (a plain dict) that SearchTrace
+keeps and exports as CSV.
 """
 
 from __future__ import annotations
@@ -80,32 +81,6 @@ def val_accuracy(net: Supernet, alpha_or_genotype, val_ds, chunk: int = 256) -> 
     return correct / len(val_ds)
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    tse: float | None
-    train_loss: float
-    val_acc: float | None
-    skip_count: int
-    depth: int
-    eig_val: float | None
-    eig_train: float | None
-    genotype: Genotype
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "tse": self.tse,
-            "train_loss": self.train_loss,
-            "val_acc": self.val_acc,
-            "skip_count": self.skip_count,
-            "depth": self.depth,
-            "eig_val": self.eig_val,
-            "eig_train": self.eig_train,
-            "genotype": json.loads(self.genotype.to_json()),
-        }
-
-
 CSV_COLUMNS = ["epoch", "tse", "train_loss", "val_acc", "skip_count",
                "depth", "eig_val", "eig_train"]
 
@@ -114,8 +89,8 @@ CSV_COLUMNS = ["epoch", "tse", "train_loss", "val_acc", "skip_count",
 class SearchTrace:
     records: list = field(default_factory=list)
 
-    def append(self, record: EpochRecord):
-        if self.records and record.epoch <= self.records[-1].epoch:
+    def append(self, record: dict):
+        if self.records and record["epoch"] <= self.records[-1]["epoch"]:
             raise DiagnosticsError("epochs must be strictly increasing")
         self.records.append(record)
 
@@ -124,8 +99,7 @@ class SearchTrace:
             writer = csv.writer(f)
             writer.writerow(CSV_COLUMNS)
             for r in self.records:
-                d = r.to_dict()
-                writer.writerow([d[c] for c in CSV_COLUMNS])
+                writer.writerow([r[c] for c in CSV_COLUMNS])
 
 
 def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
@@ -133,8 +107,12 @@ def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
                  val_ds=None, eigen_batches: dict | None = None,
                  # ignored: the eigen route has no options (perfbench still passes them)
                  eigen_opts: dict | None = None) -> SearchTrace:
-    """Append one complete record; read-only with respect to (w, alpha).
+    """Append one complete runlog record; read-only with respect to
+    (w, alpha).
 
+    The record is a dict with the keys `epoch, tse, train_loss, val_acc,
+    skip_count, depth, eig_val, eig_train, genotype`, in that order;
+    `genotype` is the argmax genotype as `Genotype.to_json` writes it.
     `eigen_batches` maps loss source ("train"/"val") to a fixed
     diagnostic batch; enabled metrics must have their data configured.
     """
@@ -149,12 +127,11 @@ def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
             raise DiagnosticsError(f"unknown eigenvalue loss source {source!r}")
         eig[source] = dominant_eigenvalue(alpha_loss_closure(net, batch),
                                           net.alpha.value)
-    record = EpochRecord(
-        epoch=epoch, tse=tse, train_loss=train_loss, val_acc=val_acc,
-        skip_count=skip_count(genotype),
-        depth=cell_depth(genotype, net.topology),
-        eig_val=eig["val"], eig_train=eig["train"],
-        genotype=genotype,
-    )
-    trace.append(record)
+    trace.append({
+        "epoch": epoch, "tse": tse, "train_loss": train_loss, "val_acc": val_acc,
+        "skip_count": skip_count(genotype),
+        "depth": cell_depth(genotype, net.topology),
+        "eig_val": eig["val"], "eig_train": eig["train"],
+        "genotype": json.loads(genotype.to_json()),
+    })
     return trace

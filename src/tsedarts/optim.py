@@ -11,7 +11,7 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,11 +78,13 @@ class TSEResult:
 
 def loss_and_grads(net: Supernet, batch, wrt: list) -> tuple:
     """One forward and one detached backward on `batch`: the loss as a
-    float and the GradMap for `wrt`.  Only the float leaves, so the
-    step's graph is freed before a caller builds the next one."""
+    float and `{name: gradient array}` for the named leaves `wrt`.  Only
+    arrays leave, so the step's graph is freed before a caller builds
+    the next one."""
     xb, yb = batch
     loss = net.loss(net.forward(xb), yb)
-    return float(loss.value), ad.backward(ad.tape(loss), wrt=wrt)
+    grads = ad.backward(ad.tape(loss), wrt=wrt)
+    return float(loss.value), {v.name: g.value for v, g in zip(wrt, grads)}
 
 
 def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
@@ -137,13 +139,13 @@ def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult
     fwd0, bwd0 = net.forward_count, ad.BACKWARD_CALLS
     for t, batch in enumerate(window.batches):
         try:
-            loss, gm = loss_and_grads(net, batch, wvars + [net.alpha])
+            loss, grads = loss_and_grads(net, batch, wvars + [net.alpha])
         except NonFiniteError as err:
             raise UnrollAbort(t, str(err)) from err
         step_losses.append(loss)
         tse += loss
-        alpha_grad += gm.array(net.alpha)
-        sgd_step(net.params, gm.by_name(), cfg)
+        alpha_grad += grads[net.alpha.name]
+        sgd_step(net.params, grads, cfg)
     return TSEResult(
         tse=tse,
         step_losses=step_losses,
@@ -177,11 +179,11 @@ def tse_darts_round(net: Supernet, window: UnrollWindow, w_cfg: SGDConfig,
     wvars = net.weight_vars()
     for t, batch in enumerate(window.batches):
         try:
-            loss, gm = loss_and_grads(net, batch, wvars)
+            loss, grads = loss_and_grads(net, batch, wvars)
         except NonFiniteError as err:
             raise UnrollAbort(t, str(err)) from err
         retrain_losses.append(loss)
-        sgd_step(net.params, gm.by_name(), w_cfg)
+        sgd_step(net.params, grads, w_cfg)
     return RoundResult(result.tse, result.step_losses, retrain_losses,
                        result.alpha_grad, restore_exact)
 
@@ -191,11 +193,11 @@ def darts_first_order_round(net: Supernet, train_batch, val_batch,
     """One first-order baseline step: SGD on the train loss, then an
     alpha step on the direct validation-loss gradient at the current
     weights (w* approximated by w)."""
-    loss_t, gm = loss_and_grads(net, train_batch, net.weight_vars())
-    sgd_step(net.params, gm.by_name(), w_cfg)
+    loss_t, grads = loss_and_grads(net, train_batch, net.weight_vars())
+    sgd_step(net.params, grads, w_cfg)
 
-    loss_v, gm = loss_and_grads(net, val_batch, [net.alpha])
-    arch_opt.step(net.alpha, gm.array(net.alpha))
+    loss_v, grads = loss_and_grads(net, val_batch, [net.alpha])
+    arch_opt.step(net.alpha, grads[net.alpha.name])
     return {"train_loss": loss_t, "val_loss": loss_v}
 
 
@@ -209,18 +211,22 @@ def _check_cap(net: Supernet, cap: int):
         raise OptimError(f"{n} weight parameters exceed the exact-unroll cap {cap}")
 
 
-def _graph_weights(window: UnrollWindow) -> dict:
-    return {k: ad.const(v) for k, v in window.w0.items()}
-
-
-def _unrolled_step(net: Supernet, wvars: dict, batch, cfg: SGDConfig):
-    """One differentiable SGD step: returns (loss Var, next weights)."""
-    xb, yb = batch
-    loss = net.loss(net.forward(xb, params=wvars), yb)
-    names = list(wvars.keys())
-    gs = ad.grad(loss, wrt=[wvars[n] for n in names], create_graph=True)
-    nxt = {n: wvars[n] - cfg.lr * g for n, g in zip(names, gs)}
-    return loss, nxt
+def _unrolled_losses(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
+                     cap: int) -> list:
+    """The window's training losses as graph nodes, with every weight
+    update a differentiable SGD step: from the snapshot, one step per
+    batch but the last, each batch's loss taken before its step, then
+    the loss on the last batch."""
+    _check_cap(net, cap)
+    wvars = {k: ad.const(v) for k, v in window.w0.items()}
+    names = list(wvars)
+    losses = []
+    for xb, yb in window.batches:
+        if losses:
+            gs = ad.grad(losses[-1], wrt=[wvars[n] for n in names], create_graph=True)
+            wvars = {n: wvars[n] - cfg.lr * g for n, g in zip(names, gs)}
+        losses.append(net.loss(net.forward(xb, params=wvars), yb))
+    return losses
 
 
 def exact_hypergradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
@@ -232,13 +238,7 @@ def exact_hypergradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
     batch evaluates the final loss.  With a single batch this is the
     direct gradient at the snapshot.
     """
-    _check_cap(net, cap)
-    wvars = _graph_weights(window)
-    for batch in window.batches[:-1]:
-        _, wvars = _unrolled_step(net, wvars, batch, cfg)
-    xb, yb = window.batches[-1]
-    final_loss = net.loss(net.forward(xb, params=wvars), yb)
-    (ga,) = ad.grad(final_loss, wrt=[net.alpha])
+    (ga,) = ad.grad(_unrolled_losses(net, window, cfg, cap)[-1], wrt=[net.alpha])
     return ga.value.copy()
 
 
@@ -249,16 +249,9 @@ def exact_tse_gradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
 
     Returns (tse value, exact alpha gradient).
     """
-    _check_cap(net, cap)
-    wvars = _graph_weights(window)
-    total = None
-    for t, batch in enumerate(window.batches):
-        last = t == len(window.batches) - 1
-        if last:
-            xb, yb = batch
-            loss = net.loss(net.forward(xb, params=wvars), yb)
-        else:
-            loss, wvars = _unrolled_step(net, wvars, batch, cfg)
-        total = loss if total is None else total + loss
+    losses = _unrolled_losses(net, window, cfg, cap)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
     (ga,) = ad.grad(total, wrt=[net.alpha])
     return float(total.value), ga.value.copy()

@@ -97,9 +97,9 @@ def _replay_losses(net, window, cfg, alpha_flat: np.ndarray) -> list:
         net.restore(window.w0)
         losses = []
         for batch in window.batches[:-1]:
-            loss, gm = optim.loss_and_grads(net, batch, net.weight_vars())
+            loss, grads = optim.loss_and_grads(net, batch, net.weight_vars())
             losses.append(loss)
-            optim.sgd_step(net.params, gm.by_name(), cfg)
+            optim.sgd_step(net.params, grads, cfg)
         xb, yb = window.batches[-1]
         losses.append(float(net.loss(net.forward(xb), yb).value))
         return losses

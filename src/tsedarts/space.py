@@ -55,13 +55,13 @@ class CellTopology:
                 raise SpaceError(f"edge ({i}, {j}) violates 0 <= i < j < {self.nodes}")
         if len(set(self.edges)) != len(self.edges):
             raise SpaceError("duplicate edge")
-        if not self._reachable(set()):
+        if not self._reachable():
             raise SpaceError("output node unreachable from input node")
 
-    def _reachable(self, dropped: set) -> bool:
+    def _reachable(self) -> bool:
         reach = {0}
         for (i, j) in sorted(self.edges):
-            if (i, j) not in dropped and i in reach:
+            if i in reach:
                 reach.add(j)
         return self.nodes - 1 in reach
 
@@ -105,13 +105,6 @@ class Genotype:
             "topology": self.preset,
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Genotype":
-        doc = json.loads(text)
-        edges = tuple((e["from"], e["to"]) for e in doc["edges"])
-        ops = tuple(OperationKind(e["op"]) for e in doc["edges"])
-        return cls(edges, ops, doc.get("topology", "custom"))
 
 
 def discretize(encoding: ArchEncoding, topology: CellTopology,

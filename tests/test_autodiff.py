@@ -271,8 +271,7 @@ def test_detached_sweep_matches_graph_building_sweep(name):
     detached, graph = (
         ad.backward(ad.tape(net.loss(net.forward(x), y)), wrt=wrt, create_graph=cg)
         for cg in (False, True))
-    for v in wrt:
-        got, want = detached.get(v), graph.get(v)
+    for v, got, want in zip(wrt, detached, graph):
         assert got.parents == () and want.parents != (), v.name
         assert np.array_equal(got.value, want.value), v.name
 

@@ -181,6 +181,30 @@ class TestSearchCommand:
         assert "config error" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flags", [
+        {"--batch-size": "0"},
+        {"--batch-size": "49"},                # train split holds 48 samples
+        {"--diag-val-frac": "-0.2"},
+        {"--diag-val-frac": "1"},
+        {"--val-frac": "-0.5"},                # tse-darts takes no val split
+    ])
+    def test_invalid_flags_leave_no_out_dir(self, tmp_path, capsys, flags):
+        out = str(tmp_path / "run")
+        assert cli.main(search_args(out, **flags)) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_runlog_key_order(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert cli.main(search_args(out, **{"--epochs": "1"})) == cli.EXIT_OK
+        with open(os.path.join(out, "runlog.jsonl")) as f:
+            (rec,) = [json.loads(line) for line in f]
+        assert list(rec) == ["epoch", "tse", "train_loss", "val_acc", "skip_count",
+                             "depth", "eig_val", "eig_train", "genotype",
+                             "seed", "time"]
+        with open(os.path.join(out, "genotype.json")) as f:
+            assert json.load(f) == rec["genotype"]
+
     def test_numeric_abort_exit_code(self, tmp_path, monkeypatch):
         from tsedarts import optim
 
@@ -210,6 +234,17 @@ class TestVerifyCommand:
         assert report["pass"]
         assert {s["suite"] for s in report["suites"]} == {"gradients", "eigen",
                                                           "depth"}
+
+    @pytest.mark.parametrize("out", ["absent/report.json", "."])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch, out):
+        # a path in a missing directory, and a path that is a directory
+        def unreachable():
+            raise AssertionError("suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_suite_depth", unreachable)
+        out = str(tmp_path / out)
+        assert cli.main(["verify", "--suite", "depth", "--out", out]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_single_suite(self, capsys):
         assert cli.main(["verify", "--suite", "depth"]) == cli.EXIT_OK
@@ -241,3 +276,7 @@ class TestPlotsCommand:
 
     def test_missing_runlog_rejected(self, tmp_path):
         assert cli.main(["plots", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    def test_missing_run_dir_exit_code(self, tmp_path, capsys):
+        assert cli.main(["plots", str(tmp_path / "absent")]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err

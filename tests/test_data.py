@@ -21,12 +21,6 @@ class TestDataset:
         with pytest.raises(data.DataError):
             data.Dataset(np.array([[np.nan, 0.0]]), np.array([0]), 2)
 
-    def test_kind(self):
-        vec = data.Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int), 2)
-        img = data.Dataset(np.zeros((2, 1, 4, 4)), np.zeros(2, dtype=int), 2)
-        assert vec.kind == "vector"
-        assert img.kind == "image"
-
 
 class TestSynthBlobs:
     def test_deterministic_bytes(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ class TestDominantEigenvalue:
 
         want = dense_dominant_eigenvalue(f, net.alpha.value.ravel())
         assert net.alpha.value.size == (12 if preset == "s2-like" else 24)
-        assert abs(trace.records[0].eig_train - want) <= 1e-3 * abs(want)
+        assert abs(trace.records[0]["eig_train"] - want) <= 1e-3 * abs(want)
 
 
 class TestValAccuracy:
@@ -94,9 +96,9 @@ class TestValAccuracy:
         net = make_net(seed=5)
         sgd = optim.SGDConfig(lr=0.5)
         for _ in range(200):
-            loss = net.loss(net.forward(ds.features), ds.labels)
-            gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
-            optim.sgd_step(net.params, gm.by_name(), sgd)
+            _, grads = optim.loss_and_grads(net, (ds.features, ds.labels),
+                                            net.weight_vars())
+            optim.sgd_step(net.params, grads, sgd)
         assert dg.val_accuracy(net, net.alpha.value, ds) == 1.0
 
     def test_single_sample_boundary(self):
@@ -146,8 +148,8 @@ class TestSearchTrace:
         trace = self._record(net, 0)
         rec = trace.records[0]
         # uniform alpha: every edge ties, argmax picks op index 0 (Skip)
-        assert rec.skip_count == 6
-        assert rec.depth == 3
+        assert rec["skip_count"] == 6
+        assert rec["depth"] == 3
 
     def test_unchanged_alpha_identical_records(self):
         net = make_net()
@@ -155,8 +157,8 @@ class TestSearchTrace:
         dg.record_epoch(trace, net, 0, tse=1.0, train_loss=0.5)
         dg.record_epoch(trace, net, 1, tse=0.9, train_loss=0.4)
         a, b = trace.records
-        assert a.genotype == b.genotype
-        assert (a.skip_count, a.depth) == (b.skip_count, b.depth)
+        assert a["genotype"] == b["genotype"]
+        assert (a["skip_count"], a["depth"]) == (b["skip_count"], b["depth"])
 
     def test_read_only_with_respect_to_net(self):
         net = make_net()
@@ -175,10 +177,10 @@ class TestSearchTrace:
         rec = trace.records[0]
         from tsedarts.space import cell_depth, skip_count
         g = discretize(ArchEncoding(net.alpha.value), net.topology, net.ops)
-        assert rec.genotype == g
-        assert rec.skip_count == skip_count(g)
-        assert rec.depth == cell_depth(g, net.topology)
-        assert rec.val_acc == dg.val_accuracy(net, net.alpha.value, ds)
+        assert rec["genotype"] == json.loads(g.to_json())
+        assert rec["skip_count"] == skip_count(g)
+        assert rec["depth"] == cell_depth(g, net.topology)
+        assert rec["val_acc"] == dg.val_accuracy(net, net.alpha.value, ds)
 
     def test_epochs_strictly_increasing(self):
         net = make_net()

@@ -161,10 +161,9 @@ class TestTseDartsRound:
         w_cfg = optim.SGDConfig(lr=0.05)
         arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(lr=1e-300))
         optim.tse_darts_round(net1, optim.make_window(net1, batches), w_cfg, arch)
-        for xb, yb in batches:
-            loss = net2.loss(net2.forward(xb), yb)
-            gm = ad.backward(ad.tape(loss), wrt=net2.weight_vars())
-            optim.sgd_step(net2.params, gm.by_name(), w_cfg)
+        for batch in batches:
+            _, grads = optim.loss_and_grads(net2, batch, net2.weight_vars())
+            optim.sgd_step(net2.params, grads, w_cfg)
         for k in net1.params:
             assert np.max(np.abs(net1.params[k].value - net2.params[k].value)) < 1e-12
 
@@ -203,10 +202,9 @@ class TestDartsFirstOrder:
             lr=0.5, weight_decay=0.0))
         optim.darts_first_order_round(net, tb, vb, w_cfg, arch)
         # manual: weight step on train loss
-        loss = ref.loss(ref.forward(tb[0]), tb[1])
-        gm = ad.backward(ad.tape(loss), wrt=ref.weight_vars())
+        _, grads = optim.loss_and_grads(ref, tb, ref.weight_vars())
         for k, p in ref.params.items():
-            p.value = p.value - 0.1 * gm.by_name()[k]
+            p.value = p.value - 0.1 * grads[k]
         # then alpha step on val loss at the updated weights
         (ga,) = ad.grad(ref.loss(ref.forward(vb[0]), vb[1]), [ref.alpha])
         # Adam's first step, bias-corrected, betas (0.5, 0.999), eps 1e-8
@@ -248,10 +246,9 @@ class TestExactOracles:
             def f(alpha_flat):
                 net.alpha.value = alpha_flat.reshape(net.alpha.shape)
                 net.restore(window.w0)
-                for xb, yb in batches[:-1]:
-                    loss = net.loss(net.forward(xb), yb)
-                    gm = ad.backward(ad.tape(loss), wrt=net.weight_vars())
-                    optim.sgd_step(net.params, gm.by_name(), cfg)
+                for batch in batches[:-1]:
+                    _, grads = optim.loss_and_grads(net, batch, net.weight_vars())
+                    optim.sgd_step(net.params, grads, cfg)
                 out = float(net.loss(net.forward(batches[-1][0]),
                                      batches[-1][1]).value)
                 return out
