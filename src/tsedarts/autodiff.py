@@ -2,9 +2,9 @@
 
 Every value is a `Var` wrapping a numpy array.  Ops build an implicit
 graph; `tape(root)` captures a topologically ordered, single-use record
-of one forward evaluation, and `backward` replays it in reverse and
-returns the gradients of the requested leaves as a list, in the order
-they were requested.
+of one forward evaluation, and `backward` replays it in reverse, from a
+cotangent of ones in the root's shape, and returns the gradients of the
+requested leaves as a list, in the order they were requested.
 
 Arrays are graph nodes: parameters (named leaves), constants (unnamed
 leaves, such as a batch) and op results.  Python scalars are not:
@@ -514,9 +514,10 @@ def tape(root: Var) -> Tape:
     return Tape(root)
 
 
-def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = False) -> list:
+def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> list:
     """Reverse sweep over a tape; returns the gradients of `wrt`, in order.
 
+    The sweep starts from a cotangent of ones in the root's shape.
     With `create_graph=True` the VJP rules run on `Var`s and the
     returned gradients are graph nodes that can themselves be
     differentiated.  Otherwise they run on plain arrays, each value
@@ -530,13 +531,6 @@ def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = F
     t.consumed = True
     BACKWARD_CALLS += 1
 
-    root = t.root
-    if seed is None:
-        seed = const(np.ones(root.shape))
-    seed = as_var(seed)
-    if seed.shape != root.shape:
-        raise ShapeError(f"seed shape {seed.shape} != output shape {root.shape}")
-
     want = set(id(v) for v in wrt)
     # Only propagate through nodes that can reach a requested leaf.
     needed: set = set(want)
@@ -545,7 +539,8 @@ def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = F
             needed.add(id(node))
 
     k = _VAR_KERNEL if create_graph else _ArrayKernel
-    grads: dict = {id(root): seed if create_graph else seed.value}
+    ones = np.ones(t.root.shape)
+    grads: dict = {id(t.root): const(ones) if create_graph else ones}
     for node in reversed(t.nodes):
         g = grads.get(id(node))
         if g is None:
@@ -573,9 +568,9 @@ def backward(t: Tape, seed=None, wrt: Sequence[Var] = (), create_graph: bool = F
     return out
 
 
-def grad(output: Var, wrt: Sequence[Var], seed=None, create_graph: bool = False) -> list:
+def grad(output: Var, wrt: Sequence[Var], create_graph: bool = False) -> list:
     """Convenience: fresh tape + backward."""
-    return backward(tape(output), seed=seed, wrt=wrt, create_graph=create_graph)
+    return backward(tape(output), wrt=wrt, create_graph=create_graph)
 
 
 # ------------------------------------------------------------------

@@ -12,10 +12,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,10 @@ class RunConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.layers < 1 or self.epochs < 1:
             raise ConfigError("layers and epochs must be >= 1")
-        if self.lr <= 0 or self.arch_lr <= 0:
-            raise ConfigError("learning rates must be > 0")
+        if not (0 < self.lr < math.inf and 0 < self.arch_lr < math.inf):
+            raise ConfigError("learning rates must be finite and > 0")
+        if not 0 <= self.arch_weight_decay < math.inf:
+            raise ConfigError("arch-wd must be finite and >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if not (0.0 <= self.diag_val_frac < 1.0):
@@ -72,7 +75,7 @@ class RunConfig:
                 "tse-darts searches use no validation split (val-frac must be 0); "
                 "use --diag-val-frac for a diagnostics-only split")
         if self.optimizer == "darts-1st" and self.val_frac is not None \
-                and self.val_frac <= 0.0:
+                and not self.val_frac > 0.0:
             raise ConfigError(
                 "darts-1st steps alpha on a validation split (val-frac must be > 0)")
         if self.unroll_t is not None and not (1 <= self.unroll_t <= 100):
@@ -231,21 +234,21 @@ def run_search(config: RunConfig) -> int:
 # verification suites
 # ------------------------------------------------------------------
 
-def _tiny_net(seed: int, width: int = 3, layers: int = 1) -> snmod.Supernet:
-    cfg = snmod.SupernetConfig(layers=layers, width=width, preset="s2-like",
+def _tiny_net(seed: int) -> snmod.Supernet:
+    cfg = snmod.SupernetConfig(layers=1, width=3, preset="s2-like",
                                classes=2, in_shape=(4,), seed=seed)
     return snmod.Supernet(cfg)
 
 
-def _tiny_batches(seed: int, count: int, batch: int = 6, dim: int = 4):
+def _tiny_batches(seed: int, count: int):
     rng = np.random.default_rng(seed)
-    return [(rng.standard_normal((batch, dim)),
-             rng.integers(0, 2, size=batch)) for _ in range(count)]
+    return [(rng.standard_normal((6, 4)), rng.integers(0, 2, size=6))
+            for _ in range(count)]
 
 
-def _suite_gradients(seeds=range(3)) -> dict:
+def _suite_gradients() -> dict:
     checks = []
-    for seed in seeds:
+    for seed in range(3):
         net = _tiny_net(seed)
         net.alpha.value = 0.3 * np.random.default_rng(seed + 50).standard_normal(
             net.alpha.shape)
@@ -274,9 +277,10 @@ def _suite_gradients(seeds=range(3)) -> dict:
             "pass": all(c["pass"] for c in checks)}
 
 
-def _suite_eigen(count: int = 10, dim: int = 10, seed: int = 0) -> dict:
+def _suite_eigen(count: int = 10) -> dict:
+    dim = 10
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for i in range(count):
         m = rng.standard_normal((dim, dim))
         a = 0.5 * (m + m.T)
@@ -389,26 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tsedarts", description="desk-scale differentiable architecture search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("search", help="run one seeded search")
-    s.add_argument("--space", default="s2-like",
-                   choices=["nb201-like", "s2-like"])
-    s.add_argument("--optimizer", default="tse-darts",
-                   choices=["tse-darts", "darts-1st"])
-    s.add_argument("--layers", type=int, default=8)
-    s.add_argument("--unroll-t", type=int, default=None)
-    s.add_argument("--epochs", type=int, default=30)
-    s.add_argument("--lr", type=float, default=0.025)
-    s.add_argument("--arch-lr", type=float, default=3e-4)
-    s.add_argument("--arch-wd", type=float, default=1e-3)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", default="run")
-    s.add_argument("--dataset", default="synth")
-    s.add_argument("--val-frac", type=float, default=None)
-    s.add_argument("--diag-val-frac", type=float, default=0.1)
-    s.add_argument("--diag-eigen", choices=["on", "off"], default="on")
-    s.add_argument("--width", type=int, default=8)
-    s.add_argument("--batch-size", type=int, default=32)
-    s.add_argument("--aggregation", choices=["mean", "sum"], default="mean")
+    # Each flag's dest is its RunConfig field; a flag not given stays out
+    # of the namespace, so RunConfig holds the only copy of the defaults.
+    s = sub.add_parser("search", help="run one seeded search",
+                       argument_default=argparse.SUPPRESS)
+    s.add_argument("--space", choices=["nb201-like", "s2-like"])
+    s.add_argument("--optimizer", choices=["tse-darts", "darts-1st"])
+    s.add_argument("--layers", type=int)
+    s.add_argument("--unroll-t", type=int)
+    s.add_argument("--epochs", type=int)
+    s.add_argument("--lr", type=float)
+    s.add_argument("--arch-lr", type=float)
+    s.add_argument("--arch-wd", type=float, dest="arch_weight_decay",
+                   metavar="ARCH_WD")
+    s.add_argument("--seed", type=int)
+    s.add_argument("--out")
+    s.add_argument("--dataset")
+    s.add_argument("--val-frac", type=float)
+    s.add_argument("--diag-val-frac", type=float)
+    s.add_argument("--diag-eigen", choices=["on", "off"])
+    s.add_argument("--width", type=int)
+    s.add_argument("--batch-size", type=int)
+    s.add_argument("--aggregation", choices=["mean", "sum"])
 
     v = sub.add_parser("verify", help="run oracle cross-check suites")
     v.add_argument("--suite", default="all",
@@ -424,15 +430,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "search":
-            config = RunConfig(
-                space=args.space, optimizer=args.optimizer, layers=args.layers,
-                unroll_t=args.unroll_t, epochs=args.epochs, lr=args.lr,
-                arch_lr=args.arch_lr, arch_weight_decay=args.arch_wd,
-                seed=args.seed, out=args.out, dataset=args.dataset,
-                val_frac=args.val_frac, diag_val_frac=args.diag_val_frac,
-                diag_eigen=args.diag_eigen == "on", width=args.width,
-                batch_size=args.batch_size, aggregation=args.aggregation)
-            return run_search(config)
+            given = {k: v for k, v in vars(args).items() if k != "command"}
+            if "diag_eigen" in given:
+                given["diag_eigen"] = given["diag_eigen"] == "on"
+            return run_search(RunConfig(**given))
         if args.command == "verify":
             return run_verify(args.suite, args.out)
         if args.command == "plots":

@@ -2,8 +2,9 @@
 
 Dominant eigenvalue of the loss Hessian w.r.t. the architecture logits
 (dense Hessian from finite-difference Hessian-vector products),
-skip-connection counts, cell depth and validation accuracy, gathered
-once per epoch into a runlog record (a plain dict) that SearchTrace
+skip-connection counts, cell depth and validation accuracy (in
+balanced chunks of at most `VAL_CHUNK` = 256 samples), gathered once
+per epoch into a runlog record (a plain dict) that SearchTrace
 keeps and exports as CSV.
 """
 
@@ -57,19 +58,22 @@ def alpha_loss_closure(net: Supernet, batch):
     return closure
 
 
-def val_accuracy(net: Supernet, alpha_or_genotype, val_ds, chunk: int = 256) -> float:
+VAL_CHUNK = 256
+
+
+def val_accuracy(net: Supernet, alpha_or_genotype, val_ds) -> float:
     """Fraction of argmax-correct predictions, evaluated in chunks.
 
-    The set is split into the fewest chunks of at most `chunk` samples,
-    balanced in size.  The parametric ops normalise by the statistics of
-    the batch they see, so a lone trailing sample would have every one
-    of them output zero; balanced chunks hold a single sample only when
-    the whole set does.  Predictions still depend on the chunking.
+    The set is split into the fewest chunks of at most `VAL_CHUNK`
+    samples, balanced in size.  The parametric ops normalise by the
+    statistics of the batch they see, so a lone trailing sample would
+    have every one of them output zero; balanced chunks hold a single
+    sample only when the whole set does.  Predictions still depend on the chunking.
     """
     if val_ds is None or len(val_ds) == 0:
         raise DiagnosticsError("empty validation dataset")
     correct = 0
-    n_chunks = -(-len(val_ds) // chunk)
+    n_chunks = -(-len(val_ds) // VAL_CHUNK)
     for idx in np.array_split(np.arange(len(val_ds)), n_chunks):
         xb = val_ds.features[idx]
         yb = val_ds.labels[idx]

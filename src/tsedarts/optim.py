@@ -6,11 +6,12 @@ unrolling round (accumulated direct gradients, snapshot/restore,
 retrain), and the exact unrolled hypergradient computed by
 differentiating through the whole weight-update recurrence.  The exact
 routes are the verification oracles for the cheap accumulated
-approximation.
+approximation; they refuse nets of more than `EXACT_UNROLL_CAP` weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class SGDConfig:
     lr: float
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise OptimError("learning rate must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise OptimError("learning rate must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,10 @@ class ArchOptimizerConfig:
     weight_decay: float = 1e-3
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise OptimError("architecture learning rate must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise OptimError("architecture learning rate must be finite and > 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise OptimError("architecture weight decay must be finite and >= 0")
 
 
 @dataclass
@@ -205,19 +208,20 @@ def darts_first_order_round(net: Supernet, train_batch, val_batch,
 # exact unrolled hypergradients (verification oracles)
 # ------------------------------------------------------------------
 
-def _check_cap(net: Supernet, cap: int):
-    n = net.n_parameters()
-    if n > cap:
-        raise OptimError(f"{n} weight parameters exceed the exact-unroll cap {cap}")
+# The exact routes keep every step's graph alive, so they refuse nets
+# with more weights than this.
+EXACT_UNROLL_CAP = 2000
 
 
-def _unrolled_losses(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
-                     cap: int) -> list:
+def _unrolled_losses(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> list:
     """The window's training losses as graph nodes, with every weight
     update a differentiable SGD step: from the snapshot, one step per
     batch but the last, each batch's loss taken before its step, then
     the loss on the last batch."""
-    _check_cap(net, cap)
+    n = net.n_parameters()
+    if n > EXACT_UNROLL_CAP:
+        raise OptimError(
+            f"{n} weight parameters exceed the exact-unroll cap {EXACT_UNROLL_CAP}")
     wvars = {k: ad.const(v) for k, v in window.w0.items()}
     names = list(wvars)
     losses = []
@@ -229,8 +233,8 @@ def _unrolled_losses(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
     return losses
 
 
-def exact_hypergradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
-                        cap: int = 2000) -> np.ndarray:
+def exact_hypergradient(net: Supernet, window: UnrollWindow,
+                        cfg: SGDConfig) -> np.ndarray:
     """Exact gradient w.r.t. alpha of the final training loss, by full
     reverse-mode differentiation through every weight update.
 
@@ -238,18 +242,17 @@ def exact_hypergradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
     batch evaluates the final loss.  With a single batch this is the
     direct gradient at the snapshot.
     """
-    (ga,) = ad.grad(_unrolled_losses(net, window, cfg, cap)[-1], wrt=[net.alpha])
+    (ga,) = ad.grad(_unrolled_losses(net, window, cfg)[-1], wrt=[net.alpha])
     return ga.value.copy()
 
 
-def exact_tse_gradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig,
-                       cap: int = 2000):
+def exact_tse_gradient(net: Supernet, window: UnrollWindow, cfg: SGDConfig):
     """Exact gradient w.r.t. alpha of the TSE scalar (the same per-step
     loss sum tse_unroll accumulates), in one unrolled reverse pass.
 
     Returns (tse value, exact alpha gradient).
     """
-    losses = _unrolled_losses(net, window, cfg, cap)
+    losses = _unrolled_losses(net, window, cfg)
     total = losses[0]
     for loss in losses[1:]:
         total = total + loss

@@ -2,7 +2,9 @@
 
 Deliberately naive routes (enumeration, central finite differences of
 scalar losses, dense eigendecomposition, straight-line replay of the
-training steps) used to cross-check the fast implementations.  The
+training steps) used to cross-check the fast implementations.
+`fd_gradient` takes its step; the finite-difference Hessian uses 1e-4,
+and `random_dag` draws 2 to 8 nodes.  The
 replays step the weights with the engine's detached gradients, as
 training does; what they check is the exact unrolled route, which
 differentiates through those steps.
@@ -30,9 +32,10 @@ def fd_gradient(f, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return g
 
 
-def fd_hessian(f, theta: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def fd_hessian(f, theta: np.ndarray) -> np.ndarray:
     """Dense Hessian via central differences of central-difference
-    gradients; symmetrized."""
+    gradients, both with step 1e-4; symmetrized."""
+    step = 1e-4
     n = theta.size
     h = np.zeros((n, n))
     for i in range(n):
@@ -44,9 +47,9 @@ def fd_hessian(f, theta: np.ndarray, step: float = 1e-4) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def dense_dominant_eigenvalue(f, theta: np.ndarray, step: float = 1e-4) -> float:
+def dense_dominant_eigenvalue(f, theta: np.ndarray) -> float:
     """Largest-magnitude eigenvalue of the finite-difference Hessian."""
-    evals = np.linalg.eigvalsh(fd_hessian(f, theta, step))
+    evals = np.linalg.eigvalsh(fd_hessian(f, theta))
     return float(evals[np.argmax(np.abs(evals))])
 
 
@@ -71,10 +74,10 @@ def brute_force_longest_path(nodes: int, edges, source: int, sink: int) -> int:
     return best if found[0] else 0
 
 
-def random_dag(rng: np.random.Generator, max_nodes: int = 8):
-    """Random DAG (i < j edges) over 2..max_nodes nodes; always keeps a
-    direct input->output edge so the sink is reachable."""
-    n = int(rng.integers(2, max_nodes + 1))
+def random_dag(rng: np.random.Generator):
+    """Random DAG (i < j edges) over 2..8 nodes; always keeps a direct
+    input->output edge so the sink is reachable."""
+    n = int(rng.integers(2, 9))
     edges = [(0, n - 1)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -14,6 +14,10 @@ constant.  The normalisation comes before `tanh`, so op outputs stay
 bounded.  No running statistics are kept, so the weights stay the whole
 state; the bias of a normalised affine map is inert, but it is kept so
 that the parameter layout does not change.
+
+`save_checkpoint` and `load_checkpoint` keep the weights and alpha in
+one directory, as `params.bin` (a flat little-endian float64 blob) and
+`params.json` (its manifest of names, shapes and offsets).
 """
 
 from __future__ import annotations
@@ -293,9 +297,11 @@ class Supernet:
 # checkpoint format: flat little-endian float64 blob + JSON manifest
 # ------------------------------------------------------------------
 
-def save_checkpoint(net: Supernet, directory: str,
-                    blob_name: str = "params.bin",
-                    manifest_name: str = "params.json"):
+BLOB_NAME = "params.bin"
+MANIFEST_NAME = "params.json"
+
+
+def save_checkpoint(net: Supernet, directory: str):
     os.makedirs(directory, exist_ok=True)
     entries, chunks, offset = [], [], 0
     named = list(net.params.items()) + [("alpha", net.alpha)]
@@ -304,19 +310,17 @@ def save_checkpoint(net: Supernet, directory: str,
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(arr.tobytes())
         offset += arr.size
-    with open(os.path.join(directory, blob_name), "wb") as f:
+    with open(os.path.join(directory, BLOB_NAME), "wb") as f:
         f.write(b"".join(chunks))
     manifest = {"dtype": "<f8", "total": offset, "params": entries}
-    with open(os.path.join(directory, manifest_name), "w") as f:
+    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
         json.dump(manifest, f, indent=2)
 
 
-def load_checkpoint(net: Supernet, directory: str,
-                    blob_name: str = "params.bin",
-                    manifest_name: str = "params.json"):
-    with open(os.path.join(directory, manifest_name)) as f:
+def load_checkpoint(net: Supernet, directory: str):
+    with open(os.path.join(directory, MANIFEST_NAME)) as f:
         manifest = json.load(f)
-    blob = np.fromfile(os.path.join(directory, blob_name), dtype="<f8")
+    blob = np.fromfile(os.path.join(directory, BLOB_NAME), dtype="<f8")
     if blob.size != manifest["total"]:
         raise SupernetError("checkpoint blob size does not match manifest")
     for entry in manifest["params"]:

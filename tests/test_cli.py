@@ -49,6 +49,37 @@ class TestRunConfig:
         assert cli.RunConfig(optimizer="darts-1st").resolved(100)["val_frac"] == 0.5
 
 
+class TestSearchFlags:
+    """`main` hands `run_search` the RunConfig the search flags describe."""
+
+    def _config(self, monkeypatch, flags):
+        seen = []
+        monkeypatch.setattr(cli, "run_search",
+                            lambda config: seen.append(config) or cli.EXIT_OK)
+        assert cli.main(["search", *flags]) == cli.EXIT_OK
+        (config,) = seen
+        return config
+
+    def test_no_flags_give_the_defaults(self, monkeypatch):
+        assert self._config(monkeypatch, []) == cli.RunConfig()
+
+    def test_flags_set_their_fields(self, monkeypatch):
+        config = self._config(monkeypatch, ["--arch-wd", "0.5", "--diag-eigen", "off",
+                                            "--val-frac", "0"])
+        assert config == cli.RunConfig(arch_weight_decay=0.5, diag_eigen=False,
+                                       val_frac=0.0)
+
+    def test_every_flag_reaches_its_field(self, monkeypatch):
+        argv = search_args("elsewhere", **{"--arch-wd": "0.25", "--aggregation": "sum",
+                                           "--val-frac": "0"})
+        config = self._config(monkeypatch, argv[1:])
+        assert config == cli.RunConfig(
+            space="s2-like", optimizer="tse-darts", layers=1, unroll_t=3, epochs=2,
+            lr=0.05, arch_lr=0.001, arch_weight_decay=0.25, seed=0, out="elsewhere",
+            dataset="synth:2,4,64,0.3", val_frac=0.0, diag_val_frac=0.25,
+            diag_eigen=False, width=3, batch_size=8, aggregation="sum")
+
+
 class TestDatasets:
     def test_named_specs(self):
         ds = cli._load_dataset("synth:3,5,30,0.2", seed=0)
@@ -187,6 +218,11 @@ class TestSearchCommand:
         {"--diag-val-frac": "-0.2"},
         {"--diag-val-frac": "1"},
         {"--val-frac": "-0.5"},                # tse-darts takes no val split
+        {"--lr": "nan"},
+        {"--arch-lr": "inf"},
+        {"--arch-wd": "-1"},
+        {"--arch-wd": "nan"},
+        {"--optimizer": "darts-1st", "--val-frac": "nan"},
     ])
     def test_invalid_flags_leave_no_out_dir(self, tmp_path, capsys, flags):
         out = str(tmp_path / "run")

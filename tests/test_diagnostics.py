@@ -110,9 +110,10 @@ class TestValAccuracy:
 
     def test_no_lone_sample_chunk(self):
         # batch-normalised ops zero a batch of one sample, so a set one
-        # sample longer than a chunk must not leave a trailing chunk of one
+        # sample longer than a chunk (256) must not leave a trailing chunk
+        # of one
         net = make_net(seed=9)
-        ds = data.synth_blobs(2, 4, 11, 0.5, seed=10)
+        ds = data.synth_blobs(2, 4, 257, 0.5, seed=10)
         sizes = []
         forward = net.forward
 
@@ -121,8 +122,8 @@ class TestValAccuracy:
             return forward(xb, **kw)
 
         net.forward = spy
-        acc = dg.val_accuracy(net, net.alpha.value, ds, chunk=10)
-        assert sorted(sizes) == [5, 6]
+        acc = dg.val_accuracy(net, net.alpha.value, ds)
+        assert sorted(sizes) == [128, 129]
         assert 0.0 <= acc <= 1.0
 
     def test_empty_rejected(self):

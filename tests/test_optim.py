@@ -55,6 +55,11 @@ class TestSgdStep:
         with pytest.raises(optim.OptimError):
             optim.SGDConfig(lr=-0.1)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_nonfinite_lr_rejected(self, lr):
+        with pytest.raises(optim.OptimError):
+            optim.SGDConfig(lr=lr)
+
 
 class TestArchOptimizer:
     def test_adam_first_step_magnitude(self):
@@ -75,6 +80,14 @@ class TestArchOptimizer:
     def test_invalid_config_rejected(self):
         with pytest.raises(optim.OptimError):
             optim.ArchOptimizerConfig(lr=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": np.nan}, {"lr": np.inf},
+        {"weight_decay": -1.0}, {"weight_decay": np.nan}, {"weight_decay": np.inf},
+    ])
+    def test_nonfinite_or_negative_config_rejected(self, kwargs):
+        with pytest.raises(optim.OptimError):
+            optim.ArchOptimizerConfig(**kwargs)
 
 
 class TestUnrollWindow:
@@ -288,10 +301,12 @@ class TestExactOracles:
             assert 2.0 <= big / small <= 20.0
 
     def test_parameter_cap_enforced(self):
-        net = tiny_net()
+        net = tiny_net(width=8, layers=8)
+        assert net.n_parameters() > optim.EXACT_UNROLL_CAP
         window = optim.make_window(net, tiny_batches(19, 2))
-        with pytest.raises(optim.OptimError):
-            optim.exact_hypergradient(net, window, optim.SGDConfig(lr=0.1), cap=10)
+        for exact in (optim.exact_hypergradient, optim.exact_tse_gradient):
+            with pytest.raises(optim.OptimError, match="exact-unroll cap"):
+                exact(net, window, optim.SGDConfig(lr=0.1))
 
 
 class TestGraphLifetime:
