@@ -23,6 +23,13 @@ expressions in the same order on plain arrays and puts every value it
 makes through the finiteness test `Var` uses, so both sweeps give the
 same gradients bit for bit while the detached one records nothing.
 
+Inside `with no_record():` the primitives compute and check the same
+values, but a `Var` keeps no parents and no rule, so each intermediate
+array is freed as soon as nothing refers to it.  It is the forward for
+values that are read and never differentiated (held-out accuracy, the
+last loss of a replay); read `.value` inside the block, since a `Var`
+made there is a constant to any later `backward`.
+
 Hessian-vector products are central finite differences of exact
 gradients, which is accurate enough to assemble the dense
 architecture Hessian column by column and keeps the engine strictly
@@ -31,6 +38,7 @@ first-order internally.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import Callable, Sequence
@@ -56,6 +64,20 @@ class TapeConsumedError(AutodiffError):
 
 # Probe counter for the one-backward-per-step compute contract.
 BACKWARD_CALLS = 0
+
+# False inside `no_record()`: new Vars keep no parents and no VJP rule.
+_RECORDING = True
+
+
+@contextlib.contextmanager
+def no_record():
+    """Values-only forward: ops inside the block record no graph."""
+    global _RECORDING
+    prev, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = prev
 
 
 def all_finite(v: np.ndarray) -> bool:
@@ -90,8 +112,11 @@ class Var:
 
     def __init__(self, value, parents=(), vjp=None, name=None):
         self.value = _checked(value, name)
-        self.parents = tuple(parents)
-        self.vjp = vjp
+        if _RECORDING:
+            self.parents = tuple(parents)
+            self.vjp = vjp
+        else:
+            self.parents, self.vjp = (), None
         self.name = name
 
     @property
@@ -152,6 +177,13 @@ def const(x) -> Var:
 def param(x, name: str) -> Var:
     """A named leaf parameter."""
     return Var(x, name=name)
+
+
+def _checked_const(v: np.ndarray) -> Var:
+    """A constant around a finite float64 array, without testing it again."""
+    out = Var.__new__(Var)
+    out.value, out.parents, out.vjp, out.name = v, (), None, None
+    return out
 
 
 # ------------------------------------------------------------------
@@ -522,8 +554,8 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
     returned gradients are graph nodes that can themselves be
     differentiated.  Otherwise they run on plain arrays, each value
     checked as a `Var` would be, and the gradients come back as
-    constants.  A leaf the root does not reach gets a zero constant.
-    Tapes are single-use.
+    constants around those arrays, not checked a second time.  A leaf
+    the root does not reach gets a zero constant.  Tapes are single-use.
     """
     global BACKWARD_CALLS
     if t.consumed:
@@ -562,9 +594,9 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
     for v in wrt:
         g = grads.get(id(v))
         if g is None:
-            out.append(const(np.zeros(v.shape)))
+            out.append(_checked_const(np.zeros(v.shape)))
         else:
-            out.append(g if create_graph else const(g))
+            out.append(g if create_graph else _checked_const(g))
     return out
 
 

@@ -69,6 +69,8 @@ def val_accuracy(net: Supernet, alpha_or_genotype, val_ds) -> float:
     statistics of the batch they see, so a lone trailing sample would
     have every one of them output zero; balanced chunks hold a single
     sample only when the whole set does.  Predictions still depend on the chunking.
+    The forwards run under `ad.no_record()`: no graph is recorded, and
+    each chunk holds only the arrays still in use.
     """
     if val_ds is None or len(val_ds) == 0:
         raise DiagnosticsError("empty validation dataset")
@@ -77,11 +79,12 @@ def val_accuracy(net: Supernet, alpha_or_genotype, val_ds) -> float:
     for idx in np.array_split(np.arange(len(val_ds)), n_chunks):
         xb = val_ds.features[idx]
         yb = val_ds.labels[idx]
-        if isinstance(alpha_or_genotype, Genotype):
-            logits = net.discrete_forward(xb, alpha_or_genotype)
-        else:
-            logits = net.forward(xb, alpha=alpha_or_genotype)
-        correct += int((logits.value.argmax(axis=1) == yb).sum())
+        with ad.no_record():
+            if isinstance(alpha_or_genotype, Genotype):
+                logits = net.discrete_forward(xb, alpha_or_genotype)
+            else:
+                logits = net.forward(xb, alpha=alpha_or_genotype)
+            correct += int((logits.value.argmax(axis=1) == yb).sum())
     return correct / len(val_ds)
 
 

@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from . import autodiff as ad
 from . import optim
 
 
@@ -91,8 +92,8 @@ def _replay_losses(net, window, cfg, alpha_flat: np.ndarray) -> list:
 
     From the snapshot `window.w0`, take one SGD step (`cfg`) per batch
     but the last, recording each batch's loss before its step, then the
-    loss on the last batch.  The net's alpha and weights are restored
-    afterwards.
+    loss on the last batch, from a values-only forward.  The net's alpha
+    and weights are restored afterwards.
     """
     saved = net.alpha.value.copy()
     net.alpha.value = alpha_flat.reshape(net.alpha.shape)
@@ -104,7 +105,8 @@ def _replay_losses(net, window, cfg, alpha_flat: np.ndarray) -> list:
             losses.append(loss)
             optim.sgd_step(net.params, grads, cfg)
         xb, yb = window.batches[-1]
-        losses.append(float(net.loss(net.forward(xb), yb).value))
+        with ad.no_record():
+            losses.append(float(net.loss(net.forward(xb), yb).value))
         return losses
     finally:
         net.alpha.value = saved

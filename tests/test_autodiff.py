@@ -409,3 +409,50 @@ def test_frozen_forward_has_only_array_constants():
     consts = [n for n in t.nodes if not n.parents and n.name is None]
     assert sorted(c.shape for c in consts) == [(6, 1), (32, 1), (32, 4), (32, 16)]
     assert any(np.array_equal(c.value, x) for c in consts)
+
+
+# ------------------------------------------------------------------
+# values-only forward: same values, no graph
+# ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(SWEEP_NETS))
+def test_no_record_logits_bit_identical(name):
+    net, x, _ = _sweep_net(name)
+    recorded = net.forward(x)
+    with ad.no_record():
+        values_only = net.forward(x)
+    assert recorded.parents != () and values_only.parents == ()
+    assert np.array_equal(values_only.value, recorded.value)
+
+
+def test_no_record_var_has_no_parents():
+    a = ad.param(np.arange(6.0).reshape(2, 3), "a")
+    with ad.no_record():
+        v = ad.vtanh(a @ ad.const(np.ones((3, 2))) * 0.5 + 1.0)
+    assert v.vjp is None
+    assert ad.tape(v).nodes == [v]
+
+
+def _records():
+    return ad.neg(ad.const(1.0)).parents != ()
+
+
+def test_no_record_restores_recording():
+    with ad.no_record():
+        assert not _records()
+    assert _records()
+
+
+def test_no_record_restores_recording_after_exception():
+    with pytest.raises(ad.NonFiniteError):
+        with ad.no_record():
+            ad.vexp(ad.const(1e3))
+    assert _records()
+
+
+def test_no_record_nested_blocks():
+    with ad.no_record():
+        with ad.no_record():
+            assert not _records()
+        assert not _records()
+    assert _records()

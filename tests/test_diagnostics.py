@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,38 @@ class TestValAccuracy:
         g = discretize(ArchEncoding(net.alpha.value), net.topology, net.ops)
         acc = dg.val_accuracy(net, g, ds)
         assert 0.0 <= acc <= 1.0
+
+    def test_genotype_forward_values_only_bit_identical(self):
+        net = make_net(layers=3)
+        net.alpha.value = np.random.default_rng(11).standard_normal(net.alpha.shape)
+        x = data.synth_blobs(2, 4, 20, 0.5, seed=12).features
+        g = discretize(ArchEncoding(net.alpha.value), net.topology, net.ops)
+        recorded = net.discrete_forward(x, g)
+        with ad.no_record():
+            values_only = net.discrete_forward(x, g)
+        assert recorded.parents != () and values_only.parents == ()
+        assert np.array_equal(values_only.value, recorded.value)
+
+    def test_records_no_graph_memory(self):
+        # the recorded forward holds every intermediate array of the chunk
+        # at once; the values-only one frees each when it is no longer used
+        net = sn.Supernet(sn.SupernetConfig(layers=2, width=4, preset="nb201-like",
+                                            classes=4, in_shape=(1, 8, 8), seed=0))
+        rng = np.random.default_rng(13)
+        ds = data.Dataset(rng.standard_normal((64, 1, 8, 8)),
+                          rng.integers(0, 4, size=64), 4)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recorded = peak(lambda: net.forward(ds.features))
+        values_only = peak(lambda: dg.val_accuracy(net, net.alpha.value, ds))
+        assert 4 * values_only <= recorded
 
 
 class TestSearchTrace:
