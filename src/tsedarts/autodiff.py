@@ -30,10 +30,10 @@ values that are read and never differentiated (held-out accuracy, the
 last loss of a replay); read `.value` inside the block, since a `Var`
 made there is a constant to any later `backward`.
 
-Hessian-vector products are central finite differences of exact
-gradients, which is accurate enough to assemble the dense
-architecture Hessian column by column and keeps the engine strictly
-first-order internally.
+Hessian-vector products are central differences of two detached
+gradients, accurate enough to assemble the dense architecture Hessian
+column by column; exact second derivatives come from differentiating
+a graph-building sweep, as the exact unrolled hypergradients do.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class ShapeError(AutodiffError):
 class TapeConsumedError(AutodiffError):
     pass
 
-
-# Probe counter for the one-backward-per-step compute contract.
-BACKWARD_CALLS = 0
 
 # False inside `no_record()`: new Vars keep no parents and no VJP rule.
 _RECORDING = True
@@ -532,12 +529,12 @@ def _toposort(root: Var) -> list:
         if done:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -557,24 +554,23 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
     constants around those arrays, not checked a second time.  A leaf
     the root does not reach gets a zero constant.  Tapes are single-use.
     """
-    global BACKWARD_CALLS
     if t.consumed:
         raise TapeConsumedError("tape already used by a backward pass")
     t.consumed = True
-    BACKWARD_CALLS += 1
 
-    want = set(id(v) for v in wrt)
+    # Keyed by node: `Var` hashes by identity, as it defines no `__eq__`.
+    want = set(wrt)
     # Only propagate through nodes that can reach a requested leaf.
-    needed: set = set(want)
+    needed = set(want)
     for node in t.nodes:
-        if not needed.isdisjoint(map(id, node.parents)):
-            needed.add(id(node))
+        if not needed.isdisjoint(node.parents):
+            needed.add(node)
 
     k = _VAR_KERNEL if create_graph else _ArrayKernel
     ones = np.ones(t.root.shape)
-    grads: dict = {id(t.root): const(ones) if create_graph else ones}
+    grads: dict = {t.root: const(ones) if create_graph else ones}
     for node in reversed(t.nodes):
-        g = grads.get(id(node))
+        g = grads.get(node)
         if g is None:
             continue
         if node.vjp is not None:
@@ -583,16 +579,16 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
             else:
                 pgrads = node.vjp(k, g, node.value, *[p.value for p in node.parents])
             for p, pg in zip(node.parents, pgrads):
-                if pg is None or id(p) not in needed:
+                if pg is None or p not in needed:
                     continue
-                acc = grads.get(id(p))
-                grads[id(p)] = pg if acc is None else k.add(acc, pg)
-        if id(node) not in want:
-            del grads[id(node)]
+                acc = grads.get(p)
+                grads[p] = pg if acc is None else k.add(acc, pg)
+        if node not in want:
+            del grads[node]
 
     out = []
     for v in wrt:
-        g = grads.get(id(v))
+        g = grads.get(v)
         if g is None:
             out.append(_checked_const(np.zeros(v.shape)))
         else:

@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError("arch-wd must be finite and >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.diag_val_frac < 1.0):
             raise ConfigError("diag-val-frac must be in [0, 1)")
         if self.optimizer == "tse-darts" and self.val_frac not in (None, 0.0):
@@ -120,10 +122,10 @@ def _load_dataset(spec: str, seed: int) -> datamod.Dataset:
 
 
 def _reject_lone_batch(name: str, ds: datamod.Dataset, batch_size: int):
-    """ConfigError when each pass over `ds` would end in a batch of one:
-    batch normalisation centres it to zero, so every parametric op outputs
-    0 and its weights get no gradient."""
-    if batch_size > 1 and len(ds) % batch_size == 1:
+    """ConfigError when each pass over `ds` in batches of `batch_size`
+    would end in a batch of one: batch normalisation centres it to zero,
+    so every parametric op outputs 0 and its weights get no gradient."""
+    if (len(ds) % batch_size or batch_size) == 1:
         raise ConfigError(
             f"the {name} split has {len(ds)} samples, so batches of "
             f"{batch_size} end in a batch of one sample; change --batch-size "
@@ -158,6 +160,9 @@ def run_search(config: RunConfig) -> int:
     if sval_ds is not None:
         val_batch = min(config.batch_size, len(sval_ds))
         _reject_lone_batch("validation", sval_ds, val_batch)
+    if diag_ds is not None:
+        # one eigen batch, balanced `val_accuracy` chunks: lone only at 1 sample
+        _reject_lone_batch("diagnostics", diag_ds, len(diag_ds))
 
     net_cfg = snmod.SupernetConfig(
         layers=config.layers, width=config.width, preset=config.space,
@@ -171,7 +176,10 @@ def run_search(config: RunConfig) -> int:
 
     resolved["parameter_count"] = net.n_parameters()
     resolved["started"] = started
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {config.out}: {err.strerror}") from None
     with open(os.path.join(config.out, "config.json"), "w") as f:
         json.dump(resolved, f, indent=2)
 
@@ -369,13 +377,18 @@ def emit_plots(run_dir: str) -> int:
     logs = _find_runlogs(run_dir)
     rows: dict[str, list] = {name: [] for name in _TRAJECTORIES}
     for log in logs:
-        with open(log) as f:
-            for line in f:
+        with open(log, "rb") as f:   # json.loads decodes, inside the try
+            for n, line in enumerate(f, 1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                    epoch = rec["epoch"]
+                except (ValueError, KeyError, TypeError):
+                    raise ConfigError(
+                        f"{log} line {n}: not a runlog record with an epoch") from None
                 for name, key in _TRAJECTORIES.items():
-                    rows[name].append((rec["epoch"], rec.get(key), rec.get("seed")))
+                    rows[name].append((epoch, rec.get(key), rec.get("seed")))
     for name in _TRAJECTORIES:
         with open(os.path.join(run_dir, name), "w", newline="") as f:
             writer = csv.writer(f)

@@ -75,8 +75,6 @@ class TSEResult:
     tse: float
     step_losses: list
     alpha_grad: np.ndarray
-    forward_passes: int
-    backward_passes: int
 
 
 def loss_and_grads(net: Supernet, batch, wrt: list) -> tuple:
@@ -97,6 +95,20 @@ def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
         if not ad.all_finite(g):
             raise OptimError(f"non-finite gradient for {name}")
         p.value = p.value - cfg.lr * g
+
+
+def _sgd_steps(net: Supernet, batches: list, wrt: list, cfg: SGDConfig):
+    """Plain SGD over `batches`, in order: per batch one forward, one
+    detached backward for the leaves `wrt` and one weight step, then
+    `(loss, grads)` is yielded.  A non-finite value at step t raises
+    `UnrollAbort(t)`."""
+    for t, batch in enumerate(batches):
+        try:
+            loss, grads = loss_and_grads(net, batch, wrt)
+        except NonFiniteError as err:
+            raise UnrollAbort(t, str(err)) from err
+        sgd_step(net.params, grads, cfg)
+        yield loss, grads
 
 
 class ArchOptimizer:
@@ -135,27 +147,15 @@ def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult
     one accumulator (never cleared between steps).  One forward and one
     backward per step; alpha itself is not modified."""
     net.restore(window.w0)
-    wvars = net.weight_vars()
     tse = 0.0
     step_losses = []
     alpha_grad = np.zeros_like(net.alpha.value)
-    fwd0, bwd0 = net.forward_count, ad.BACKWARD_CALLS
-    for t, batch in enumerate(window.batches):
-        try:
-            loss, grads = loss_and_grads(net, batch, wvars + [net.alpha])
-        except NonFiniteError as err:
-            raise UnrollAbort(t, str(err)) from err
+    wrt = net.weight_vars() + [net.alpha]
+    for loss, grads in _sgd_steps(net, window.batches, wrt, cfg):
         step_losses.append(loss)
         tse += loss
         alpha_grad += grads[net.alpha.name]
-        sgd_step(net.params, grads, cfg)
-    return TSEResult(
-        tse=tse,
-        step_losses=step_losses,
-        alpha_grad=alpha_grad,
-        forward_passes=net.forward_count - fwd0,
-        backward_passes=ad.BACKWARD_CALLS - bwd0,
-    )
+    return TSEResult(tse, step_losses, alpha_grad)
 
 
 @dataclass
@@ -178,15 +178,8 @@ def tse_darts_round(net: Supernet, window: UnrollWindow, w_cfg: SGDConfig,
         net.params[k].value.tobytes() == window.w0[k].tobytes()
         for k in window.w0)
     arch_opt.step(net.alpha, result.alpha_grad)
-    retrain_losses = []
-    wvars = net.weight_vars()
-    for t, batch in enumerate(window.batches):
-        try:
-            loss, grads = loss_and_grads(net, batch, wvars)
-        except NonFiniteError as err:
-            raise UnrollAbort(t, str(err)) from err
-        retrain_losses.append(loss)
-        sgd_step(net.params, grads, w_cfg)
+    retrain_losses = [loss for loss, _ in _sgd_steps(
+        net, window.batches, net.weight_vars(), w_cfg)]
     return RoundResult(result.tse, result.step_losses, retrain_losses,
                        result.alpha_grad, restore_exact)
 

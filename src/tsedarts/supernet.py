@@ -109,7 +109,6 @@ class Supernet:
             topology, ops = make_space(config.preset, features=config.features)
         self.topology = topology
         self.ops = tuple(ops)
-        self.forward_count = 0
         if config.features == "image" and any(o.tag == LINEAR for o in self.ops):
             raise SupernetError("ParamLinear operation needs vector inputs")
         if config.features == "vector" and any(o.tag == CONV3X3 for o in self.ops):
@@ -167,7 +166,6 @@ class Supernet:
         """Mixed-operation forward pass; returns logits (batch, classes)."""
         alpha = self._resolve_alpha(alpha)
         params = params if params is not None else self.params
-        self.forward_count += 1
         x = self._stem(batch, params)
         mix = self._mixture(alpha)
         for layer in range(self.config.layers):
@@ -188,7 +186,6 @@ class Supernet:
         if genotype.edges != tuple(self.topology.edges):
             raise SupernetError("genotype does not match topology")
         params = params if params is not None else self.params
-        self.forward_count += 1
         x = self._stem(batch, params)
         for layer in range(self.config.layers):
             x = self._cell(x, layer, params, genotype=genotype)

@@ -191,17 +191,29 @@ class TestSearchCommand:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "val-frac must be > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("optimizer, samples, split", [
-        ("tse-darts", 33, "train"),        # 33 train samples, batches of 8
-        ("darts-1st", 35, "validation"),   # 18 train, 17 validation samples
+    @pytest.mark.parametrize("flags, split", [
+        # 33 train samples, batches of 8
+        pytest.param({"--dataset": "synth:2,4,33,0.3"}, "train",
+                     id="tse-darts-33-train"),
+        # 18 train, 17 validation samples
+        pytest.param({"--optimizer": "darts-1st", "--dataset": "synth:2,4,35,0.3"},
+                     "validation", id="darts-1st-35-validation"),
+        pytest.param({"--batch-size": "1"}, "train", id="batch-size-1"),
+        # 199 train, 1 validation sample
+        pytest.param({"--optimizer": "darts-1st", "--val-frac": "0.005",
+                      "--dataset": "synth:2,4,200,0.3"}, "validation",
+                     id="darts-1st-one-validation-sample"),
+        # 1999 search, 1 diagnostics sample
+        pytest.param({"--diag-val-frac": "0.0005", "--dataset": "synth:2,4,2000,0.3"},
+                     "diagnostics", id="one-diagnostics-sample"),
     ])
-    def test_batch_of_one_exit_code(self, tmp_path, capsys, optimizer, samples, split):
+    def test_batch_of_one_exit_code(self, tmp_path, capsys, flags, split):
         out = str(tmp_path / "run")
-        argv = search_args(out, **{"--optimizer": optimizer, "--diag-val-frac": "0",
-                                   "--dataset": f"synth:2,4,{samples},0.3"})
+        argv = search_args(out, **{"--diag-val-frac": "0", **flags})
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"the {split} split has" in err and "batch of one" in err
+        assert f"config error: the {split} split has" in err and "batch of one" in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("spec", ["synth:2,4", "synth:2,4,33,0.3"])
     def test_rejected_search_leaves_no_out_dir(self, tmp_path, capsys, spec):
@@ -223,12 +235,23 @@ class TestSearchCommand:
         {"--arch-wd": "-1"},
         {"--arch-wd": "nan"},
         {"--optimizer": "darts-1st", "--val-frac": "nan"},
+        {"--seed": "-1"},
     ])
     def test_invalid_flags_leave_no_out_dir(self, tmp_path, capsys, flags):
         out = str(tmp_path / "run")
         assert cli.main(search_args(out, **flags)) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        # an existing file, and a path under it; the file stays as it was
+        existing = tmp_path / "taken"
+        existing.write_text("keep\n")
+        for out in (existing, existing / "run"):
+            assert cli.main(search_args(str(out))) == cli.EXIT_CONFIG
+            assert f"config error: --out {out}" in capsys.readouterr().err
+        assert existing.read_text() == "keep\n"
+        assert os.listdir(tmp_path) == ["taken"]
 
     def test_runlog_key_order(self, tmp_path):
         out = str(tmp_path / "run")
@@ -309,6 +332,16 @@ class TestPlotsCommand:
         with open(root / "skip_trajectory.csv") as f:
             rows = list(csv.reader(f))[1:]
         assert {r[2] for r in rows} == {"0", "1"}
+
+    @pytest.mark.parametrize("line", [b'{"epoch": 0', b'{"seed": 0}', b"[0]",
+                                      b'\xff{"epoch": 1}'])
+    def test_bad_runlog_exit_code(self, tmp_path, capsys, line):
+        # not JSON, a record without `epoch`, a non-record, not UTF-8
+        log = tmp_path / "runlog.jsonl"
+        log.write_bytes(b'{"epoch": 0, "skip_count": 1}\n' + line + b"\n")
+        assert cli.main(["plots", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"config error: {log} line 2" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["runlog.jsonl"]
 
     def test_missing_runlog_rejected(self, tmp_path):
         assert cli.main(["plots", str(tmp_path)]) == cli.EXIT_CONFIG

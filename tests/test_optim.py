@@ -7,7 +7,7 @@ import pytest
 import tsedarts.autodiff as ad
 from tsedarts import optim, oracles
 from tsedarts import supernet as sn
-from tsedarts.oracles import fd_gradient, replay_tse
+from tsedarts.oracles import fd_gradient, replay_final_loss, replay_tse
 from tsedarts.space import CellTopology, OperationKind
 
 
@@ -138,12 +138,21 @@ class TestTseUnroll:
                          optim.SGDConfig(lr=0.05))
         assert np.array_equal(net.alpha.value, before)
 
-    def test_compute_contract_one_fwd_one_bwd_per_step(self):
+    def test_compute_contract_one_fwd_one_bwd_per_step(self, monkeypatch):
         net = tiny_net()
-        res = optim.tse_unroll(net, optim.make_window(net, tiny_batches(5, 4)),
-                               optim.SGDConfig(lr=0.05))
-        assert res.forward_passes == 4
-        assert res.backward_passes == 4
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(net, "forward", counted("fwd", net.forward))
+        monkeypatch.setattr(ad, "backward", counted("bwd", ad.backward))
+        optim.tse_unroll(net, optim.make_window(net, tiny_batches(5, 4)),
+                         optim.SGDConfig(lr=0.05))
+        assert calls == ["fwd", "bwd"] * 4
 
     def test_abort_reports_step_index(self):
         net = tiny_net()
@@ -251,25 +260,12 @@ class TestExactOracles:
     def test_exact_hypergradient_matches_fd(self):
         for seed in (0, 1):
             net = tiny_net(seed=seed)
-            batches = tiny_batches(30 + seed, 4)
-            window = optim.make_window(net, batches)
+            window = optim.make_window(net, tiny_batches(30 + seed, 4))
             cfg = optim.SGDConfig(lr=0.05)
             g = optim.exact_hypergradient(net, window, cfg)
-
-            def f(alpha_flat):
-                net.alpha.value = alpha_flat.reshape(net.alpha.shape)
-                net.restore(window.w0)
-                for batch in batches[:-1]:
-                    _, grads = optim.loss_and_grads(net, batch, net.weight_vars())
-                    optim.sgd_step(net.params, grads, cfg)
-                out = float(net.loss(net.forward(batches[-1][0]),
-                                     batches[-1][1]).value)
-                return out
-
-            a0 = net.alpha.value.copy()
-            fd = fd_gradient(f, a0.ravel(), step=1e-5).reshape(a0.shape)
-            net.alpha.value = a0
-            net.restore(window.w0)
+            fd = fd_gradient(
+                lambda a: replay_final_loss(net, window, cfg, a),
+                net.alpha.value.ravel(), step=1e-5).reshape(net.alpha.shape)
             denom = max(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(g - fd)) / denom < 1e-4
 

@@ -119,14 +119,6 @@ class TestForward:
         with pytest.raises(sn.SupernetError):
             net.forward(np.zeros((2, 16)), alpha=np.zeros((6, 3)))
 
-    def test_forward_count_probe(self):
-        net = make_net()
-        x = np.zeros((2, 16))
-        before = net.forward_count
-        net.forward(x)
-        net.forward(x)
-        assert net.forward_count == before + 2
-
     @pytest.mark.parametrize("seed", range(5))
     def test_signal_survives_deep_mean_stack(self, seed):
         # the frozen criterion-8 supernet at initialisation: the 8th cell
