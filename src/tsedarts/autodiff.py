@@ -579,7 +579,7 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
             else:
                 pgrads = node.vjp(k, g, node.value, *[p.value for p in node.parents])
             for p, pg in zip(node.parents, pgrads):
-                if pg is None or p not in needed:
+                if p not in needed:
                     continue
                 acc = grads.get(p)
                 grads[p] = pg if acc is None else k.add(acc, pg)

@@ -62,16 +62,22 @@ class SplitSpec:
             raise DataError("fractions sum above 1")
 
 
-def synth_blobs(classes: int, dim: int, n: int, noise: float, seed: int) -> Dataset:
-    """`classes` Gaussian clusters with unit-spaced axis-aligned means."""
-    if classes < 2 or dim < 1 or n < classes:
-        raise DataError("need classes >= 2, dim >= 1, n >= classes")
-    rng = np.random.default_rng(seed)
-    # Balanced labels: counts differ by at most one.
-    labels = np.arange(n) % classes
+def _cluster_means(classes: int, dim: int, n: int, noise: float) -> np.ndarray:
+    """Checks a synthetic set's arguments; returns one cluster mean per class."""
+    if classes < 2 or dim < 1 or n < classes or not 0 <= noise < np.inf:
+        raise DataError("need classes >= 2, dim >= 1, n >= classes, 0 <= noise < inf")
     means = np.zeros((classes, dim))
     for c in range(classes):
         means[c, c % dim] = 1.0 + c // dim
+    return means
+
+
+def synth_blobs(classes: int, dim: int, n: int, noise: float, seed: int) -> Dataset:
+    """`classes` Gaussian clusters with unit-spaced axis-aligned means."""
+    means = _cluster_means(classes, dim, n, noise)
+    rng = np.random.default_rng(seed)
+    # Balanced labels: counts differ by at most one.
+    labels = np.arange(n) % classes
     feats = means[labels] + noise * rng.standard_normal((n, dim))
     perm = rng.permutation(n)
     return Dataset(feats[perm], labels[perm], classes)
@@ -82,13 +88,9 @@ def synth_xor(classes: int, dim: int, n: int, noise: float, seed: int) -> Datase
     equal probability, with the same unit-spaced axis-aligned means as
     synth_blobs.  Every class is symmetric about the origin, so no linear
     classifier beats chance; a nonlinear model separates the clusters."""
-    if classes < 2 or dim < 1 or n < classes:
-        raise DataError("need classes >= 2, dim >= 1, n >= classes")
+    means = _cluster_means(classes, dim, n, noise)
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
-    means = np.zeros((classes, dim))
-    for c in range(classes):
-        means[c, c % dim] = 1.0 + c // dim
     signs = rng.choice([-1.0, 1.0], size=n)
     feats = signs[:, None] * means[labels] + noise * rng.standard_normal((n, dim))
     perm = rng.permutation(n)
@@ -138,7 +140,8 @@ def encode_idx_labels(labels: np.ndarray) -> bytes:
 
 
 def split(ds: Dataset, spec: SplitSpec):
-    """Disjoint (train, val) via a seeded permutation; val may be None."""
+    """Disjoint (train, val) via a seeded permutation; val is None when
+    the val fraction is 0.  DataError when a part would be empty."""
     n = len(ds)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
@@ -148,6 +151,8 @@ def split(ds: Dataset, spec: SplitSpec):
     n_val = min(n_val, n - n_train)
     if n_train < 1:
         raise DataError("empty train part")
+    if spec.val_fraction > 0 and n_val < 1:
+        raise DataError(f"val fraction {spec.val_fraction} of {n} samples is empty")
     train = ds.subset(perm[:n_train])
     val = ds.subset(perm[n_train:n_train + n_val]) if n_val >= 1 else None
     return train, val

@@ -1,9 +1,11 @@
 """Weight-sharing supernetwork of stacked cells.
 
 Weights w and architecture logits alpha live in disjoint parameter
-groups; alpha is shared by every cell.  The mixed forward pass weights
-each edge's candidate operations by the softmax of that edge's logits,
-and each node averages its incoming edge contributions.
+groups; alpha is shared by every cell.  Both forward passes run one
+stem -> cells -> head body over `(op tag, weight)` terms per edge: the
+mixed pass weights each non-Zero candidate by the softmax of the edge's
+logits, the discrete pass keeps the genotype's op unweighted (None).
+Each node averages its incoming edge contributions.
 
 The parametric operations (ParamLinear, ParamConv3x3) normalise their
 pre-activation by the statistics of the current batch, as the
@@ -109,6 +111,9 @@ class Supernet:
             topology, ops = make_space(config.preset, features=config.features)
         self.topology = topology
         self.ops = tuple(ops)
+        # each node after the input, with its incoming (edge index, edge) pairs
+        self._incoming = [(j, [(e, edge) for e, edge in enumerate(topology.edges)
+                               if edge[1] == j]) for j in range(1, topology.nodes)]
         if config.features == "image" and any(o.tag == LINEAR for o in self.ops):
             raise SupernetError("ParamLinear operation needs vector inputs")
         if config.features == "vector" and any(o.tag == CONV3X3 for o in self.ops):
@@ -164,31 +169,31 @@ class Supernet:
     def forward(self, batch: np.ndarray, alpha: Var | np.ndarray | None = None,
                 params: dict | None = None) -> Var:
         """Mixed-operation forward pass; returns logits (batch, classes)."""
-        alpha = self._resolve_alpha(alpha)
-        params = params if params is not None else self.params
-        x = self._stem(batch, params)
-        mix = self._mixture(alpha)
-        for layer in range(self.config.layers):
-            x = self._cell(x, layer, params, mix=mix)
-        return self._head(x, params)
-
-    def _mixture(self, alpha: Var) -> dict:
-        """The softmax weight of each non-Zero (edge, op) pair, keyed by
-        (edge index, op index): sliced once, shared by every cell."""
-        mix = ad.softmax_rows(alpha)
-        return {(e_idx, o_idx): ad.vslice(mix, (e_idx, o_idx))
-                for e_idx in range(len(self.topology.edges))
-                for o_idx, op in enumerate(self.ops) if op.tag != ZERO}
+        terms = self._mixed_terms(self._resolve_alpha(alpha))
+        return self._run(batch, terms, params)
 
     def discrete_forward(self, batch: np.ndarray, genotype: Genotype,
                          params: dict | None = None) -> Var:
         """Forward using only the chosen operation per edge."""
         if genotype.edges != tuple(self.topology.edges):
             raise SupernetError("genotype does not match topology")
+        terms = [[] if op.tag == ZERO else [(op.tag, None)] for op in genotype.ops]
+        return self._run(batch, terms, params)
+
+    def _mixed_terms(self, alpha: Var) -> list:
+        """Each edge's (op tag, softmax weight) terms, Zero left out; the
+        weights are sliced once per forward and shared by every cell."""
+        mix = ad.softmax_rows(alpha)
+        return [[(op.tag, ad.vslice(mix, (e_idx, o_idx)))
+                 for o_idx, op in enumerate(self.ops) if op.tag != ZERO]
+                for e_idx in range(len(self.topology.edges))]
+
+    def _run(self, batch: np.ndarray, terms: list, params: dict | None) -> Var:
+        """stem, every cell, head: the body of both forward passes."""
         params = params if params is not None else self.params
         x = self._stem(batch, params)
         for layer in range(self.config.layers):
-            x = self._cell(x, layer, params, genotype=genotype)
+            x = self._cell(x, layer, params, terms)
         return self._head(x, params)
 
     def loss(self, logits: Var, targets: np.ndarray) -> Var:
@@ -228,16 +233,14 @@ class Supernet:
         return ad.transpose(ad.reshape(out, (n, h, wd, w.shape[1])), (0, 3, 1, 2))
 
     def _apply_op(self, tag: str, x: Var, layer: int, edge: tuple, params: dict):
-        """One candidate operation on edge `edge`; None for Zero.
+        """One non-Zero candidate operation on edge `edge`.
 
         Parametric ops compute tanh(norm(affine(x))), where `norm` is the
         parameter-free batch normalisation (per feature for ParamLinear,
         per channel over (n, h, w) for ParamConv3x3); centring makes
-        their bias inert.  Skip, Zero and AvgPool are left unnormalised.
+        their bias inert.  Skip and AvgPool are left unnormalised.
         """
         i, j = edge
-        if tag == ZERO:
-            return None
         if tag == SKIP:
             return x
         if tag == LINEAR:
@@ -256,38 +259,23 @@ class Supernet:
             return cols.mean(axis=2)
         raise SupernetError(f"unknown operation tag {tag!r}")
 
-    def _cell(self, x_in: Var, layer: int, params: dict,
-              mix: dict | None = None, genotype: Genotype | None = None) -> Var:
-        topo = self.topology
-        feats = {topo.input_node: x_in}
-        incoming: dict[int, list] = {}
-        for e_idx, (i, j) in enumerate(topo.edges):
-            incoming.setdefault(j, []).append((e_idx, i, j))
-        for node in range(1, topo.nodes):
-            terms = []
-            edges_in = incoming.get(node, [])
-            for e_idx, i, j in edges_in:
-                src = feats[i]
-                if genotype is not None:
-                    out = self._apply_op(genotype.ops[e_idx].tag, src, layer,
-                                         (i, j), params)
-                    if out is not None:
-                        terms.append(out)
-                else:
-                    for o_idx, op in enumerate(self.ops):
-                        out = self._apply_op(op.tag, src, layer, (i, j), params)
-                        if out is not None:
-                            terms.append(mix[e_idx, o_idx] * out)
-            if terms:
-                acc = terms[0]
-                for t in terms[1:]:
-                    acc = acc + t
-                if self.config.aggregation == "mean" and len(edges_in) > 1:
-                    acc = acc * (1.0 / len(edges_in))
-                feats[node] = acc
-            else:
-                feats[node] = ad.const(np.zeros(x_in.shape))
-        return feats[topo.output_node]
+    def _cell(self, x_in: Var, layer: int, params: dict, terms: list) -> Var:
+        """Each node left-folds the op outputs of its incoming edges'
+        terms, each scaled by its weight unless that is None."""
+        feats = {self.topology.input_node: x_in}
+        for node, edges_in in self._incoming:
+            acc = None
+            for e_idx, edge in edges_in:
+                for tag, weight in terms[e_idx]:
+                    out = self._apply_op(tag, feats[edge[0]], layer, edge, params)
+                    out = out if weight is None else weight * out
+                    acc = out if acc is None else acc + out
+            if acc is None:
+                acc = ad.const(np.zeros(x_in.shape))
+            elif self.config.aggregation == "mean" and len(edges_in) > 1:
+                acc = acc * (1.0 / len(edges_in))
+            feats[node] = acc
+        return feats[self.topology.output_node]
 
 
 # ------------------------------------------------------------------

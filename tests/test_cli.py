@@ -215,9 +215,9 @@ class TestSearchCommand:
         assert f"config error: the {split} split has" in err and "batch of one" in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("spec", ["synth:2,4", "synth:2,4,33,0.3"])
+    @pytest.mark.parametrize("spec", ["synth:2,4", "synth:2,4,64,-1", "xor:2,4,64,-1"])
     def test_rejected_search_leaves_no_out_dir(self, tmp_path, capsys, spec):
-        # a malformed spec, and a train split ending in a batch of one
+        # a malformed spec, and a negative noise scale
         out = str(tmp_path / "run")
         argv = search_args(out, **{"--diag-val-frac": "0", "--dataset": spec})
         assert cli.main(argv) == cli.EXIT_CONFIG
@@ -236,6 +236,8 @@ class TestSearchCommand:
         {"--arch-wd": "nan"},
         {"--optimizer": "darts-1st", "--val-frac": "nan"},
         {"--seed": "-1"},
+        {"--optimizer": "darts-1st", "--val-frac": "0.004"},   # 0.19 of 48 samples
+        {"--diag-val-frac": "0.004"},                          # 0.26 of 64 samples
     ])
     def test_invalid_flags_leave_no_out_dir(self, tmp_path, capsys, flags):
         out = str(tmp_path / "run")

@@ -127,6 +127,11 @@ class TestSplit:
         assert len(tr) == 60
         assert va is None
 
+    def test_val_fraction_without_a_sample_rejected(self):
+        ds = data.synth_blobs(4, 4, 60, 0.1, seed=0)   # 0.005 * 60 rounds to 0
+        with pytest.raises(data.DataError):
+            data.split(ds, data.SplitSpec(0.99, 0.005))
+
     def test_invalid_fractions_rejected(self):
         with pytest.raises(data.DataError):
             data.SplitSpec(0.0, 0.5)

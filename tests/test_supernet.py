@@ -129,9 +129,9 @@ class TestForward:
         params = net.params
         x = net._stem(ds.features[:32], params)
         stem_std = np.std(x.value, axis=0).mean()
-        mix = net._mixture(net.alpha)
+        terms = net._mixed_terms(net.alpha)
         for layer in range(8):
-            x = net._cell(x, layer, params, mix=mix)
+            x = net._cell(x, layer, params, terms)
         assert np.std(x.value, axis=0).mean() >= 0.1 * stem_std
 
     def test_aggregation_modes_differ(self):
@@ -170,11 +170,13 @@ class TestLoss:
 
 
 class TestDiscreteForward:
-    def test_matches_saturated_softmax(self):
-        net = make_net(layers=2)
+    # the nb201-like genotype drawn here has Zero, Skip and AvgPool edges
+    @pytest.mark.parametrize("preset", ["s2-like", "nb201-like"])
+    def test_matches_saturated_softmax(self, preset):
+        net = make_net(layers=2, preset=preset)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 16))
-        table = rng.standard_normal((6, 2))
+        table = rng.standard_normal(net.alpha.shape)
         genotype = discretize(ArchEncoding(table), net.topology, net.ops)
         hot = np.where(table == table.max(axis=1, keepdims=True), 60.0, -60.0)
         mixed = net.forward(x, alpha=hot).value
