@@ -13,15 +13,13 @@ the count `vmean` divides by and the target shape of `broadcast_to`
 are attributes of their node, read by its VJP rule, so no leaf is made
 for them and no cotangent is computed for them.
 
-Each primitive has one VJP rule, written against a kernel `k` that
-`backward` hands it together with the node and its operands.  A
-graph-building sweep (`create_graph=True`) passes this module's own
-`Var` primitives, so the gradients are graph nodes that can be
-differentiated again (needed to unroll exactly through SGD updates).
-A detached sweep passes `_ArrayKernel`, which runs the same numpy
-expressions in the same order on plain arrays and puts every value it
-makes through the finiteness test `Var` uses, so both sweeps give the
-same gradients bit for bit while the detached one records nothing.
+Each primitive has one VJP rule, written with this module's `Var`
+primitives (looked up by name when the rule runs), and both sweeps run
+it.  A graph-building sweep (`create_graph=True`) records as it goes,
+so the gradients are graph nodes that can be differentiated again
+(needed to unroll exactly through SGD updates).  A detached sweep runs
+the same loop inside `no_record()`, so it computes and checks the same
+values, bit for bit, while it records nothing.
 
 Inside `with no_record():` the primitives compute and check the same
 values, but a `Var` keeps no parents and no rule, so each intermediate
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,32 +80,26 @@ def all_finite(v: np.ndarray) -> bool:
     A finite sum proves every entry finite; only a sum that is not (an
     overflow, or a true inf/nan) needs the entrywise test.
     """
-    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
-
-
-def _checked(value, name=None) -> np.ndarray:
-    """`value` as a float64 array; NonFiniteError if an entry is not finite."""
-    v = np.asarray(value, dtype=np.float64)
-    if not all_finite(v):
-        raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
-    return v
+    return math.isfinite(np.add.reduce(v, None)) or bool(np.isfinite(v).all())
 
 
 class Var:
     """A node in the computation graph.
 
     Leaves with a `name` are parameters; leaves without one are
-    constants.  `vjp(k, g, out, *operands)` is the op's VJP rule: with
-    kernel `k` it maps the output cotangent `g` to cotangents for
-    `parents`, in order.  `out` and `operands` are this node and its
-    parents: the Vars themselves for the Var kernel, their arrays for
-    the array kernel.
+    constants.  `vjp(g, out, *operands)` is the op's VJP rule: it maps
+    the output cotangent `g` to cotangents for `parents`, in order,
+    with this module's primitives.  `out` and `operands` are this node
+    and its parents.  Every value is checked for finiteness here.
     """
 
     __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
 
     def __init__(self, value, parents=(), vjp=None, name=None):
-        self.value = _checked(value, name)
+        v = np.asarray(value, dtype=np.float64)
+        if not all_finite(v):
+            raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
+        self.value = v
         if _RECORDING:
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -176,13 +167,6 @@ def param(x, name: str) -> Var:
     return Var(x, name=name)
 
 
-def _checked_const(v: np.ndarray) -> Var:
-    """A constant around a finite float64 array, without testing it again."""
-    out = Var.__new__(Var)
-    out.value, out.parents, out.vjp, out.name = v, (), None, None
-    return out
-
-
 # ------------------------------------------------------------------
 # primitives, each followed by its one VJP rule
 # ------------------------------------------------------------------
@@ -191,13 +175,13 @@ def _checked_const(v: np.ndarray) -> Var:
 _SCALAR = (int, float)
 
 
-def _unbroadcast(k, g, shape: tuple):
+def _unbroadcast(g, shape: tuple):
     """Reduce a broadcasted cotangent back to `shape`."""
     while len(g.shape) > len(shape):
-        g = k.vsum(g, axis=0)
+        g = vsum(g, axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = k.vsum(g, axis=ax, keepdims=True)
+            g = vsum(g, axis=ax, keepdims=True)
     return g
 
 
@@ -212,11 +196,11 @@ def add(a, b) -> Var:
     return Var(a.value + b.value, (a, b), _add_vjp)
 
 
-def _add_vjp(k, g, out, a, b):
-    return _unbroadcast(k, g, a.shape), _unbroadcast(k, g, b.shape)
+def _add_vjp(g, out, a, b):
+    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
-def _pass_vjp(k, g, out, a):
+def _pass_vjp(g, out, a):
     return (g,)
 
 
@@ -231,41 +215,41 @@ def sub(a, b) -> Var:
     return Var(a.value - b.value, (a, b), _sub_vjp)
 
 
-def _sub_vjp(k, g, out, a, b):
-    return _unbroadcast(k, g, a.shape), _unbroadcast(k, k.neg(g), b.shape)
+def _sub_vjp(g, out, a, b):
+    return _unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape)
 
 
 def mul(a, b) -> Var:
     if isinstance(b, _SCALAR):
         a = as_var(a)
-        return Var(a.value * b, (a,), lambda k, g, out, a: (k.mul(g, b),))
+        return Var(a.value * b, (a,), lambda g, out, a: (mul(g, b),))
     if isinstance(a, _SCALAR):
         c, b = a, as_var(b)
-        return Var(c * b.value, (b,), lambda k, g, out, b: (k.mul(g, c),))
+        return Var(c * b.value, (b,), lambda g, out, b: (mul(g, c),))
     a, b = as_var(a), as_var(b)
     return Var(a.value * b.value, (a, b), _mul_vjp)
 
 
-def _mul_vjp(k, g, out, a, b):
-    return (_unbroadcast(k, k.mul(g, b), a.shape),
-            _unbroadcast(k, k.mul(g, a), b.shape))
+def _mul_vjp(g, out, a, b):
+    return (_unbroadcast(mul(g, b), a.shape),
+            _unbroadcast(mul(g, a), b.shape))
 
 
 def div(a, b) -> Var:
     if isinstance(b, _SCALAR):
         a = as_var(a)
-        return Var(a.value / b, (a,), lambda k, g, out, a: (k.div(g, b),))
+        return Var(a.value / b, (a,), lambda g, out, a: (div(g, b),))
     if isinstance(a, _SCALAR):
         c, b = a, as_var(b)
         return Var(c / b.value, (b,),
-                   lambda k, g, out, b: (k.neg(k.div(k.mul(g, c), k.mul(b, b))),))
+                   lambda g, out, b: (neg(div(mul(g, c), mul(b, b))),))
     a, b = as_var(a), as_var(b)
     return Var(a.value / b.value, (a, b), _div_vjp)
 
 
-def _div_vjp(k, g, out, a, b):
-    return (_unbroadcast(k, k.div(g, b), a.shape),
-            _unbroadcast(k, k.neg(k.div(k.mul(g, a), k.mul(b, b))), b.shape))
+def _div_vjp(g, out, a, b):
+    return (_unbroadcast(div(g, b), a.shape),
+            _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape))
 
 
 def neg(a) -> Var:
@@ -273,14 +257,14 @@ def neg(a) -> Var:
     return Var(-a.value, (a,), _neg_vjp)
 
 
-def _neg_vjp(k, g, out, a):
-    return (k.neg(g),)
+def _neg_vjp(g, out, a):
+    return (neg(g),)
 
 
 def power(a, p: float) -> Var:
     a = as_var(a)
     return Var(a.value ** p, (a,),
-               lambda k, g, out, a: (k.mul(g, k.mul(p, k.power(a, p - 1.0))),))
+               lambda g, out, a: (mul(g, mul(p, power(a, p - 1.0))),))
 
 
 def matmul(a, b) -> Var:
@@ -292,15 +276,15 @@ def matmul(a, b) -> Var:
     return Var(a.value @ b.value, (a, b), _matmul_vjp)
 
 
-def _matmul_vjp(k, g, out, a, b):
-    return k.matmul(g, k.transpose(b)), k.matmul(k.transpose(a), g)
+def _matmul_vjp(g, out, a, b):
+    return matmul(g, transpose(b)), matmul(transpose(a), g)
 
 
 def transpose(a, axes=None) -> Var:
     a = as_var(a)
     inv = None if axes is None else tuple(np.argsort(axes))
     return Var(np.transpose(a.value, axes), (a,),
-               lambda k, g, out, a: (k.transpose(g, inv),))
+               lambda g, out, a: (transpose(g, inv),))
 
 
 def reshape(a, shape) -> Var:
@@ -308,8 +292,8 @@ def reshape(a, shape) -> Var:
     return Var(a.value.reshape(shape), (a,), _reshape_vjp)
 
 
-def _reshape_vjp(k, g, out, a):
-    return (k.reshape(g, a.shape),)
+def _reshape_vjp(g, out, a):
+    return (reshape(g, a.shape),)
 
 
 def vexp(a) -> Var:
@@ -317,8 +301,8 @@ def vexp(a) -> Var:
     return Var(np.exp(a.value), (a,), _vexp_vjp)
 
 
-def _vexp_vjp(k, g, out, a):
-    return (k.mul(g, out),)
+def _vexp_vjp(g, out, a):
+    return (mul(g, out),)
 
 
 def vlog(a) -> Var:
@@ -326,8 +310,8 @@ def vlog(a) -> Var:
     return Var(np.log(a.value), (a,), _vlog_vjp)
 
 
-def _vlog_vjp(k, g, out, a):
-    return (k.div(g, a),)
+def _vlog_vjp(g, out, a):
+    return (div(g, a),)
 
 
 def vtanh(a) -> Var:
@@ -335,19 +319,19 @@ def vtanh(a) -> Var:
     return Var(np.tanh(a.value), (a,), _vtanh_vjp)
 
 
-def _vtanh_vjp(k, g, out, a):
-    return (k.mul(g, k.sub(1.0, k.mul(out, out))),)
+def _vtanh_vjp(g, out, a):
+    return (mul(g, sub(1.0, mul(out, out))),)
 
 
 def vsum(a, axis=None, keepdims=False) -> Var:
     a = as_var(a)
 
-    def vjp(k, g, out, a):
+    def vjp(g, out, a):
         if axis is not None and not keepdims:
             kd = list(a.shape)
             kd[axis] = 1
-            g = k.reshape(g, tuple(kd))
-        return (k.broadcast_to(g, a.shape),)
+            g = reshape(g, tuple(kd))
+        return (broadcast_to(g, a.shape),)
 
     return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
@@ -358,8 +342,8 @@ def broadcast_to(a, shape) -> Var:
     return Var(np.broadcast_to(a.value, shape), (a,), _broadcast_to_vjp)
 
 
-def _broadcast_to_vjp(k, g, out, a):
-    return (_unbroadcast(k, g, a.shape),)
+def _broadcast_to_vjp(g, out, a):
+    return (_unbroadcast(g, a.shape),)
 
 
 def vmean(a, axis=None, keepdims=False) -> Var:
@@ -371,7 +355,7 @@ def vmean(a, axis=None, keepdims=False) -> Var:
 def vslice(a, key) -> Var:
     """Basic-index view; the adjoint scatters back into zeros."""
     a = as_var(a)
-    return Var(a.value[key], (a,), lambda k, g, out, a: (k.vscatter(g, key, a.shape),))
+    return Var(a.value[key], (a,), lambda g, out, a: (vscatter(g, key, a.shape),))
 
 
 def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
@@ -383,7 +367,7 @@ def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
 def vscatter(g, key, shape) -> Var:
     g = as_var(g)
     return Var(_scatter_val(g.value, key, shape), (g,),
-               lambda k, gg, out, g: (k.vslice(gg, key),))
+               lambda gg, out, g: (vslice(gg, key),))
 
 
 def _im2col3_val(v: np.ndarray) -> np.ndarray:
@@ -422,8 +406,8 @@ def im2col3(a) -> Var:
     return Var(_im2col3_val(a.value), (a,), _im2col3_vjp)
 
 
-def _im2col3_vjp(k, g, out, a):
-    return (k.col2im3(g, *a.shape[1:]),)
+def _im2col3_vjp(g, out, a):
+    return (col2im3(g, *a.shape[1:]),)
 
 
 def col2im3(a, c: int, h: int, w: int) -> Var:
@@ -431,82 +415,8 @@ def col2im3(a, c: int, h: int, w: int) -> Var:
     return Var(_col2im3_val(a.value, c, h, w), (a,), _col2im3_vjp)
 
 
-def _col2im3_vjp(k, g, out, a):
-    return (k.im2col3(g),)
-
-
-class _ArrayKernel:
-    """The primitives a VJP rule may call, on plain arrays.
-
-    Each one computes what the `Var` primitive of the same name puts in
-    `.value`, with the same numpy expression, and checks it with the
-    same `_checked`; it records no parents and no rule.
-    """
-
-    @staticmethod
-    def add(a, b):
-        return _checked(a + b)
-
-    @staticmethod
-    def sub(a, b):
-        return _checked(a - b)
-
-    @staticmethod
-    def mul(a, b):
-        return _checked(a * b)
-
-    @staticmethod
-    def div(a, b):
-        return _checked(a / b)
-
-    @staticmethod
-    def neg(a):
-        return _checked(-a)
-
-    @staticmethod
-    def power(a, p):
-        return _checked(a ** p)
-
-    @staticmethod
-    def matmul(a, b):
-        return _checked(a @ b)
-
-    @staticmethod
-    def transpose(a, axes=None):
-        return _checked(np.transpose(a, axes))
-
-    @staticmethod
-    def reshape(a, shape):
-        return _checked(a.reshape(shape))
-
-    @staticmethod
-    def vsum(a, axis=None, keepdims=False):
-        return _checked(a.sum(axis=axis, keepdims=keepdims))
-
-    @staticmethod
-    def broadcast_to(a, shape):
-        return _checked(np.broadcast_to(a, shape))
-
-    @staticmethod
-    def vslice(a, key):
-        return _checked(a[key])
-
-    @staticmethod
-    def vscatter(g, key, shape):
-        return _checked(_scatter_val(g, key, shape))
-
-    @staticmethod
-    def im2col3(a):
-        return _checked(_im2col3_val(a))
-
-    @staticmethod
-    def col2im3(a, c, h, w):
-        return _checked(_col2im3_val(a, c, h, w))
-
-
-# The kernel of graph-building sweeps: this module, so that a rule's
-# `k.mul` finds whatever `mul` the module holds when it runs.
-_VAR_KERNEL = sys.modules[__name__]
+def _col2im3_vjp(g, out, a):
+    return (im2col3(g),)
 
 
 # ------------------------------------------------------------------
@@ -546,13 +456,13 @@ def tape(root: Var) -> Tape:
 def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> list:
     """Reverse sweep over a tape; returns the gradients of `wrt`, in order.
 
-    The sweep starts from a cotangent of ones in the root's shape.
-    With `create_graph=True` the VJP rules run on `Var`s and the
+    The sweep starts from a cotangent of ones in the root's shape and
+    runs each node's VJP rule on `Var`s.  With `create_graph=True` the
     returned gradients are graph nodes that can themselves be
-    differentiated.  Otherwise they run on plain arrays, each value
-    checked as a `Var` would be, and the gradients come back as
-    constants around those arrays, not checked a second time.  A leaf
-    the root does not reach gets a zero constant.  Tapes are single-use.
+    differentiated.  Otherwise the sweep runs under `no_record()`, so
+    every value is checked the same way but the gradients come back as
+    constants.  A leaf the root does not reach gets a zero constant.
+    Tapes are single-use.
     """
     if t.consumed:
         raise TapeConsumedError("tape already used by a backward pass")
@@ -566,34 +476,22 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
         if not needed.isdisjoint(node.parents):
             needed.add(node)
 
-    k = _VAR_KERNEL if create_graph else _ArrayKernel
-    ones = np.ones(t.root.shape)
-    grads: dict = {t.root: const(ones) if create_graph else ones}
-    for node in reversed(t.nodes):
-        g = grads.get(node)
-        if g is None:
-            continue
-        if node.vjp is not None:
-            if create_graph:
-                pgrads = node.vjp(k, g, node, *node.parents)
-            else:
-                pgrads = node.vjp(k, g, node.value, *[p.value for p in node.parents])
-            for p, pg in zip(node.parents, pgrads):
-                if p not in needed:
-                    continue
-                acc = grads.get(p)
-                grads[p] = pg if acc is None else k.add(acc, pg)
-        if node not in want:
-            del grads[node]
-
-    out = []
-    for v in wrt:
-        g = grads.get(v)
-        if g is None:
-            out.append(_checked_const(np.zeros(v.shape)))
-        else:
-            out.append(g if create_graph else _checked_const(g))
-    return out
+    with contextlib.nullcontext() if create_graph else no_record():
+        grads: dict = {t.root: const(np.ones(t.root.shape))}
+        for node in reversed(t.nodes):
+            g = grads.get(node)
+            if g is None:
+                continue
+            if node.vjp is not None:
+                pgrads = node.vjp(g, node, *node.parents)
+                for p, pg in zip(node.parents, pgrads):
+                    if p not in needed:
+                        continue
+                    acc = grads.get(p)
+                    grads[p] = pg if acc is None else add(acc, pg)
+            if node not in want:
+                del grads[node]
+        return [grads[v] if v in grads else const(np.zeros(v.shape)) for v in wrt]
 
 
 def grad(output: Var, wrt: Sequence[Var], create_graph: bool = False) -> list:

@@ -177,6 +177,9 @@ class Supernet:
         """Forward using only the chosen operation per edge."""
         if genotype.edges != tuple(self.topology.edges):
             raise SupernetError("genotype does not match topology")
+        for edge, op in zip(genotype.edges, genotype.ops):
+            if op not in self.ops:
+                raise SupernetError(f"edge {edge}: {op.tag} is not a candidate operation")
         terms = [[] if op.tag == ZERO else [(op.tag, None)] for op in genotype.ops]
         return self._run(batch, terms, params)
 
@@ -308,11 +311,11 @@ def load_checkpoint(net: Supernet, directory: str):
     blob = np.fromfile(os.path.join(directory, BLOB_NAME), dtype="<f8")
     if blob.size != manifest["total"]:
         raise SupernetError("checkpoint blob size does not match manifest")
+    named = dict(net.params, alpha=net.alpha)
+    saved = {entry["name"]: tuple(entry["shape"]) for entry in manifest["params"]}
+    if saved != {name: var.shape for name, var in named.items()}:
+        raise SupernetError("checkpoint parameter names or shapes do not match the net")
     for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arr = blob[entry["offset"]:entry["offset"] + size].reshape(shape)
-        if entry["name"] == "alpha":
-            net.alpha.value = arr.astype(np.float64).copy()
-        else:
-            net.params[entry["name"]].value = arr.astype(np.float64).copy()
+        var = named[entry["name"]]
+        arr = blob[entry["offset"]:entry["offset"] + var.value.size].reshape(var.shape)
+        var.value = arr.astype(np.float64).copy()

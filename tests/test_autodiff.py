@@ -223,7 +223,7 @@ def test_cross_entropy_label_validation():
 
 
 # ------------------------------------------------------------------
-# detached sweeps: same rules on plain arrays, same numbers and checks
+# detached sweeps: same rules under no_record(), same numbers and checks
 # ------------------------------------------------------------------
 
 # The frozen 8-layer s2-like net and the nb201-like image net use every
@@ -267,6 +267,9 @@ def test_intermediate_cotangent_overflow_rejected(create_graph):
     b = ad.param(1e200, "b")
     with pytest.raises(ad.NonFiniteError):
         ad.grad(a / b, [a, b], create_graph=create_graph)
+    # a sweep that fails part-way leaves recording on for the next op
+    c = a * 2.0
+    assert c.parents == (a,) and c.vjp is not None
 
 
 @pytest.mark.parametrize("create_graph", [False, True])

@@ -4,7 +4,7 @@ import pytest
 import tsedarts.autodiff as ad
 from tsedarts import data, optim
 from tsedarts import supernet as sn
-from tsedarts.space import (LINEAR, SKIP, ZERO, ArchEncoding, CellTopology,
+from tsedarts.space import (AVGPOOL, LINEAR, SKIP, ZERO, ArchEncoding, CellTopology,
                             Genotype, OperationKind, discretize, make_space)
 
 
@@ -213,6 +213,21 @@ class TestDiscreteForward:
         with pytest.raises(sn.SupernetError):
             net.discrete_forward(np.zeros((1, 16)), g)
 
+    # AvgPool would run on the s2-like net; ParamLinear on the image net
+    # would look up weights that were never made
+    @pytest.mark.parametrize("preset, in_shape, tag", [
+        ("s2-like", (16,), AVGPOOL),
+        ("nb201-like", (1, 5, 5), LINEAR),
+    ], ids=["s2-like-AvgPool", "nb201-like-ParamLinear"])
+    def test_genotype_op_outside_candidates_rejected(self, preset, in_shape, tag):
+        cfg = sn.SupernetConfig(layers=1, width=3, preset=preset, classes=3,
+                                in_shape=in_shape, seed=0)
+        net = sn.Supernet(cfg)
+        edges = net.topology.edges
+        g = Genotype(edges, tuple(OperationKind(tag) for _ in edges))
+        with pytest.raises(sn.SupernetError, match=rf"edge \(0, 1\): {tag}"):
+            net.discrete_forward(np.zeros((2,) + in_shape), g)
+
 
 class TestStateManagement:
     def test_snapshot_restore_checksum(self):
@@ -241,6 +256,20 @@ class TestStateManagement:
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(sn.SupernetError):
             sn.load_checkpoint(net, str(tmp_path))
+
+    @pytest.mark.parametrize("saved, loaded", [
+        (dict(width=4), dict(width=8)),
+        (dict(layers=1), dict(layers=2)),
+        (dict(layers=2), dict(layers=1)),
+    ], ids=["narrower", "shallower", "deeper"])
+    def test_checkpoint_of_another_net_rejected(self, tmp_path, saved, loaded):
+        sn.save_checkpoint(make_net(seed=1, **saved), str(tmp_path))
+        net = make_net(seed=2, **loaded)
+        before, alpha = net.checksum(), net.alpha.value.copy()
+        with pytest.raises(sn.SupernetError):
+            sn.load_checkpoint(net, str(tmp_path))
+        assert net.checksum() == before
+        assert np.array_equal(net.alpha.value, alpha)
 
 
 class TestImageNets:
