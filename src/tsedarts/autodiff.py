@@ -28,6 +28,13 @@ values that are read and never differentiated (held-out accuracy, the
 last loss of a replay); read `.value` inside the block, since a `Var`
 made there is a constant to any later `backward`.
 
+Images get two linear primitives, each with an adjoint primitive: `im2col3`
+gathers the 3x3 same-padded patch rows (n*h*w, 9c) that a convolution
+right-multiplies by its weight matrix (adjoint `col2im3`), and `boxsum3`
+adds each pixel's zero-padded 3x3 window, offsets in one fixed order,
+for average pooling (adjoint `boxspread3`).  The rules of each pair call
+the other, so both stay twice-differentiable.
+
 Hessian-vector products are central differences of two detached
 gradients, accurate enough to assemble the dense architecture Hessian
 column by column; exact second derivatives come from differentiating
@@ -370,40 +377,23 @@ def vscatter(g, key, shape) -> Var:
                lambda gg, out, g: (vslice(gg, key),))
 
 
-def _im2col3_val(v: np.ndarray) -> np.ndarray:
-    n, c, h, w = v.shape
-    p = np.pad(v, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 9, h, w))
-    idx = 0
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, idx] = p[:, :, di:di + h, dj:dj + w]
-            idx += 1
-    return cols.reshape(n, c * 9, h, w)
-
-
-def _col2im3_val(g: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
-    n = g.shape[0]
-    gc = g.reshape(n, c, 9, h, w)
-    out = np.zeros((n, c, h + 2, w + 2))
-    idx = 0
-    for di in range(3):
-        for dj in range(3):
-            out[:, :, di:di + h, dj:dj + w] += gc[:, :, idx]
-            idx += 1
-    return out[:, :, 1:1 + h, 1:1 + w]
-
-
 def im2col3(a) -> Var:
-    """3x3 same-padded patch extraction: (n,c,h,w) -> (n, 9c, h, w).
+    """3x3 same-padded patch rows: (n, c, h, w) -> (n*h*w, 9c).
 
-    Linear with exact adjoint `col2im3`, so convolution reduces to a
-    matmul over patches and stays twice-differentiable.
+    Row `(i*h + y)*w + x` holds the zero-padded 3x3 window around pixel
+    (y, x) of image i; column `9*ch + 3*di + dj` is channel `ch` at
+    offset (di - 1, dj - 1).  A (9c, c_out) weight matrix right-multiplies
+    it directly.  Linear with exact adjoint `col2im3`, so convolution is
+    one matmul and stays twice-differentiable.
     """
     a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("im2col3 expects (n, c, h, w)")
-    return Var(_im2col3_val(a.value), (a,), _im2col3_vjp)
+    n, c, h, w = a.shape
+    p = np.zeros((n, h + 2, w + 2, c))     # zero-padded, channels last
+    p[:, 1:1 + h, 1:1 + w] = a.value.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(p, (3, 3), axis=(1, 2))
+    return Var(windows.reshape(n * h * w, 9 * c), (a,), _im2col3_vjp)
 
 
 def _im2col3_vjp(g, out, a):
@@ -411,12 +401,61 @@ def _im2col3_vjp(g, out, a):
 
 
 def col2im3(a, c: int, h: int, w: int) -> Var:
+    """Adjoint of `im2col3`: patch rows (n*h*w, 9c) -> (n, c, h, w).
+
+    Each row is added back into its window, offsets 0..8 in order.
+    """
     a = as_var(a)
-    return Var(_col2im3_val(a.value, c, h, w), (a,), _col2im3_vjp)
+    g = a.value.reshape(-1, h, w, c, 9)
+    acc = np.zeros((g.shape[0], h + 2, w + 2, c))
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        acc[:, di:di + h, dj:dj + w] += g[..., k]
+    interior = acc[:, 1:1 + h, 1:1 + w].transpose(0, 3, 1, 2)
+    return Var(np.ascontiguousarray(interior), (a,), _col2im3_vjp)
 
 
 def _col2im3_vjp(g, out, a):
     return (im2col3(g),)
+
+
+def boxsum3(a) -> Var:
+    """Zero-padded 3x3 box sum of each channel: (n, c, h, w) -> same shape.
+
+    A left fold of the 9 shifted windows in offset order k = 3*di + dj =
+    0..8; another order rounds differently.  Linear with exact adjoint
+    `boxspread3`.
+    """
+    a = as_var(a)
+    if a.value.ndim != 4:
+        raise ShapeError("boxsum3 expects (n, c, h, w)")
+    h, w = a.shape[2:]
+    p = np.pad(a.value, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = p[:, :, :h, :w].copy()
+    for k in range(1, 9):
+        di, dj = divmod(k, 3)
+        out += p[:, :, di:di + h, dj:dj + w]
+    return Var(out, (a,), _boxsum3_vjp)
+
+
+def _boxsum3_vjp(g, out, a):
+    return (boxspread3(g),)
+
+
+def boxspread3(a) -> Var:
+    """Adjoint of `boxsum3`: adds each pixel into the 3x3 window around
+    it, offsets 0..8 in order."""
+    a = as_var(a)
+    n, c, h, w = a.shape
+    acc = np.zeros((n, c, h + 2, w + 2))
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        acc[:, :, di:di + h, dj:dj + w] += a.value
+    return Var(acc[:, :, 1:-1, 1:-1], (a,), _boxspread3_vjp)
+
+
+def _boxspread3_vjp(g, out, a):
+    return (boxsum3(g),)
 
 
 # ------------------------------------------------------------------

@@ -17,6 +17,11 @@ bounded.  No running statistics are kept, so the weights stay the whole
 state; the bias of a normalised affine map is inert, but it is kept so
 that the parameter layout does not change.
 
+On images, ParamConv3x3 (and the stem) is one matmul of the patch rows
+`ad.im2col3(x)` by a (9c, c_out) weight, and AvgPool is
+`ad.boxsum3(x) / 9`, a zero-padded 3x3 window mean.  On vectors, AvgPool
+multiplies by a fixed kernel-3 neighbourhood-averaging matrix.
+
 `save_checkpoint` and `load_checkpoint` keep the weights and alpha in
 one directory, as `params.bin` (a flat little-endian float64 blob) and
 `params.json` (its manifest of names, shapes and offsets).
@@ -177,6 +182,9 @@ class Supernet:
         """Forward using only the chosen operation per edge."""
         if genotype.edges != tuple(self.topology.edges):
             raise SupernetError("genotype does not match topology")
+        if len(genotype.ops) != len(genotype.edges):
+            raise SupernetError(f"genotype has {len(genotype.ops)} ops "
+                                f"for {len(genotype.edges)} edges")
         for edge, op in zip(genotype.edges, genotype.ops):
             if op not in self.ops:
                 raise SupernetError(f"edge {edge}: {op.tag} is not a candidate operation")
@@ -228,11 +236,9 @@ class Supernet:
         return x @ params["head/W"] + params["head/b"]
 
     def _conv(self, x: Var, w: Var, b: Var) -> Var:
-        # 3x3 same-padded conv as matmul over extracted patches.
-        n, c, h, wd = x.shape
-        cols = ad.im2col3(x)                                 # (n, 9c, h, w)
-        flat = ad.reshape(ad.transpose(cols, (0, 2, 3, 1)), (n * h * wd, 9 * c))
-        out = flat @ w + b
+        # 3x3 same-padded conv: one matmul over the patch rows (n*h*w, 9c)
+        n, _, h, wd = x.shape
+        out = ad.im2col3(x) @ w + b
         return ad.transpose(ad.reshape(out, (n, h, wd, w.shape[1])), (0, 3, 1, 2))
 
     def _apply_op(self, tag: str, x: Var, layer: int, edge: tuple, params: dict):
@@ -257,9 +263,7 @@ class Supernet:
         if tag == AVGPOOL:
             if self.config.features == "vector":
                 return x @ self._pool
-            n, c, h, w = x.shape
-            cols = ad.reshape(ad.im2col3(x), (n, c, 9, h, w))
-            return cols.mean(axis=2)
+            return ad.boxsum3(x) / 9.0
         raise SupernetError(f"unknown operation tag {tag!r}")
 
     def _cell(self, x_in: Var, layer: int, params: dict, terms: list) -> Var:
@@ -315,6 +319,12 @@ def load_checkpoint(net: Supernet, directory: str):
     saved = {entry["name"]: tuple(entry["shape"]) for entry in manifest["params"]}
     if saved != {name: var.shape for name, var in named.items()}:
         raise SupernetError("checkpoint parameter names or shapes do not match the net")
+    for entry in manifest["params"]:
+        offset = entry["offset"]
+        if (type(offset) is not int or offset < 0
+                or offset + named[entry["name"]].value.size > blob.size):
+            raise SupernetError(f"checkpoint entry {entry['name']}: offset {offset!r} "
+                                "lies outside the blob")
     for entry in manifest["params"]:
         var = named[entry["name"]]
         arr = blob[entry["offset"]:entry["offset"] + var.value.size].reshape(var.shape)

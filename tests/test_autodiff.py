@@ -202,13 +202,55 @@ class TestHvp:
 
 
 def test_im2col_col2im_adjoint_pair():
-    # <Ax, y> == <x, A^T y> for the patch extraction pair.
+    # <Ax, y> == <x, A^T y> for the patch-row extraction pair.
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2, 3, 4, 4))
-    y = rng.standard_normal((2, 27, 4, 4))
+    y = rng.standard_normal((2 * 4 * 4, 27))
     ax = ad.im2col3(ad.const(x)).value
     aty = ad.col2im3(ad.const(y), 3, 4, 4).value
+    assert ax.shape == y.shape
     assert abs(np.sum(ax * y) - np.sum(x * aty)) < 1e-9
+
+
+def test_boxsum3_boxspread3_adjoint_pair():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 3, 4, 5))
+    y = rng.standard_normal((2, 3, 4, 5))
+    ax = ad.boxsum3(ad.const(x)).value
+    aty = ad.boxspread3(ad.const(y)).value
+    assert abs(np.sum(ax * y) - np.sum(x * aty)) < 1e-9
+
+
+def _padded(x):
+    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+
+def test_im2col3_rows_times_w_is_direct_convolution():
+    # oracle: sum over the nine offsets of a shifted window times the
+    # weight rows of that offset (row 9*ch + 3*di + dj)
+    rng = np.random.default_rng(17)
+    n, c, h, w, c_out = 2, 3, 4, 5, 2
+    x = rng.standard_normal((n, c, h, w))
+    wt = rng.standard_normal((9 * c, c_out))
+    want = np.zeros((n, c_out, h, w))
+    for di in range(3):
+        for dj in range(3):
+            window = _padded(x)[:, :, di:di + h, dj:dj + w]
+            want += np.einsum("nchw,co->nohw", window, wt[3 * di + dj::9])
+    rows = ad.im2col3(ad.const(x)).value
+    got = (rows @ wt).reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_avgpool_is_zero_padded_window_mean():
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((2, 3, 4, 5))
+    want = np.zeros_like(x)
+    for y in range(4):
+        for z in range(5):
+            want[:, :, y, z] = _padded(x)[:, :, y:y + 3, z:z + 3].mean(axis=(2, 3))
+    got = (ad.boxsum3(ad.const(x)) / 9.0).value
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_cross_entropy_uniform_logits():
@@ -227,8 +269,9 @@ def test_cross_entropy_label_validation():
 # ------------------------------------------------------------------
 
 # The frozen 8-layer s2-like net and the nb201-like image net use every
-# primitive between them: in the forward pass, or inside a VJP rule
-# (col2im3 and vscatter, the adjoints of im2col3 and vslice).
+# primitive between them: in the forward pass, or only inside a VJP rule
+# (broadcast_to, vscatter, col2im3 and boxspread3, in the rules of vsum,
+# vslice, im2col3 and boxsum3).
 SWEEP_NETS = {
     "s2-like-8-layers": (dict(layers=8, width=8, preset="s2-like", classes=4,
                               in_shape=(16,), seed=0), 32),

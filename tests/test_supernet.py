@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import tsedarts.autodiff as ad
 from tsedarts import data, optim
 from tsedarts import supernet as sn
+from tsedarts.oracles import fd_gradient
 from tsedarts.space import (AVGPOOL, LINEAR, SKIP, ZERO, ArchEncoding, CellTopology,
                             Genotype, OperationKind, discretize, make_space)
 
@@ -228,6 +231,12 @@ class TestDiscreteForward:
         with pytest.raises(sn.SupernetError, match=rf"edge \(0, 1\): {tag}"):
             net.discrete_forward(np.zeros((2,) + in_shape), g)
 
+    def test_genotype_with_fewer_ops_than_edges_rejected(self):
+        net = make_net()
+        g = Genotype(net.topology.edges, (OperationKind(SKIP),))
+        with pytest.raises(sn.SupernetError, match="1 ops for 6 edges"):
+            net.discrete_forward(np.zeros((2, 16)), g)
+
 
 class TestStateManagement:
     def test_snapshot_restore_checksum(self):
@@ -271,6 +280,24 @@ class TestStateManagement:
         assert net.checksum() == before
         assert np.array_equal(net.alpha.value, alpha)
 
+    # head/b follows the stem and every cell weight in the manifest, so
+    # the net must be checked whole before anything is assigned
+    @pytest.mark.parametrize("offset", ["total", -1, 1.5, True],
+                             ids=["past-end", "negative", "float", "bool"])
+    def test_checkpoint_offset_outside_blob_rejected(self, tmp_path, offset):
+        sn.save_checkpoint(make_net(seed=1), str(tmp_path))
+        manifest_path = tmp_path / "params.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = [e for e in manifest["params"] if e["name"] == "head/b"][0]
+        entry["offset"] = manifest["total"] if offset == "total" else offset
+        manifest_path.write_text(json.dumps(manifest))
+        net = make_net(seed=2)
+        before, alpha = net.checksum(), net.alpha.value.copy()
+        with pytest.raises(sn.SupernetError, match="head/b"):
+            sn.load_checkpoint(net, str(tmp_path))
+        assert net.checksum() == before
+        assert np.array_equal(net.alpha.value, alpha)
+
 
 class TestImageNets:
     def _net(self):
@@ -291,3 +318,58 @@ class TestImageNets:
         _, grads = optim.loss_and_grads(net, (x, y), net.weight_vars() + [net.alpha])
         conv_w = [k for k in net.params if "conv" in k][0]
         assert np.linalg.norm(grads[conv_w]) > 0
+
+
+class TestImageNetGradients:
+    """Engine gradients of an nb201-like image net (conv and AvgPool
+    edges) against finite differences of its loss and its gradients."""
+
+    CONV = "cell0/e0-1/conv/W"
+
+    def _setup(self):
+        cfg = sn.SupernetConfig(layers=1, width=2, preset="nb201-like", classes=3,
+                                in_shape=(1, 5, 5), seed=0)
+        net = sn.Supernet(cfg)
+        rng = np.random.default_rng(19)
+        net.alpha.value = 0.3 * rng.standard_normal(net.alpha.shape)
+        x = rng.standard_normal((6, 1, 5, 5))
+        y = rng.integers(0, 3, size=6)
+        return net, x, y
+
+    def _grads_at(self, net, x, y, wrt, values, create_graph=False):
+        for var, value in zip(wrt, values):
+            var.value = value
+        return ad.grad(net.loss(net.forward(x), y), wrt, create_graph=create_graph)
+
+    @pytest.mark.parametrize("name", ["alpha", CONV])
+    def test_gradient_matches_fd(self, name):
+        net, x, y = self._setup()
+        var = net.alpha if name == "alpha" else net.params[name]
+        theta = var.value.copy()
+
+        def loss_at(flat):
+            var.value = flat.reshape(theta.shape)
+            with ad.no_record():
+                return float(net.loss(net.forward(x), y).value)
+
+        fd = fd_gradient(loss_at, theta.ravel()).reshape(theta.shape)
+        (g,) = self._grads_at(net, x, y, [var], [theta])
+        assert np.max(np.abs(g.value - fd)) / np.max(np.abs(fd)) < 1e-6
+
+    def test_double_backward_hvp_matches_fd_of_gradients(self):
+        net, x, y = self._setup()
+        wrt = [net.alpha, net.params[self.CONV]]
+        theta = [v.value.copy() for v in wrt]
+        rng = np.random.default_rng(20)
+        direction = [rng.standard_normal(t.shape) for t in theta]
+        grads = self._grads_at(net, x, y, wrt, theta, create_graph=True)
+        dot = ad.vsum(grads[0] * ad.const(direction[0]))
+        dot = dot + ad.vsum(grads[1] * ad.const(direction[1]))
+        hv = [h.value for h in ad.grad(dot, wrt)]
+        eps = 1e-5
+        up, dn = ([g.value for g in self._grads_at(
+            net, x, y, wrt, [t + sign * eps * d for t, d in zip(theta, direction)])]
+            for sign in (1.0, -1.0))
+        for got, u, d in zip(hv, up, dn):
+            ref = (u - d) / (2 * eps)
+            assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-6
