@@ -19,6 +19,11 @@ in N alternating parent/change pairs, the order flipping every pair.
 Interleaving keeps slow drift of the machine out of the comparison,
 which runs of a whole benchmark in separate processes do not.
 
+A timed step runs no graph-building sweep, so it then checks, untimed,
+that one `optim.exact_tse_gradient` (the `verify` suite's tiny net,
+four batches, lr 0.05) gives the same TSE value and alpha gradient,
+bit for bit, in both trees.
+
 It prints, per net, the median and quartiles of each side's step time
 in ms, the change/parent ratio of the medians, and the fraction of pairs
 in which the change was faster, then a JSON summary.  It exits 1 when
@@ -27,6 +32,7 @@ the two trees' numbers differ, else 0.  It measures; it gates nothing.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
 import os
@@ -68,6 +74,16 @@ def make_step(pkg, kw: dict, batch: int):
     y = rng.integers(0, kw["classes"], size=batch)
     wrt = net.weight_vars() + [net.alpha]
     return lambda: pkg.optim.loss_and_grads(net, (x, y), wrt)
+
+
+def exact_tse(pkg) -> tuple:
+    """TSE value and exact alpha gradient, by graph-building sweeps,
+    on the `verify` gradients suite's tiny net (seed 0)."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    net = cli._tiny_net(0)
+    net.alpha.value = 0.3 * np.random.default_rng(50).standard_normal(net.alpha.shape)
+    window = pkg.optim.make_window(net, cli._tiny_batches(100, 4))
+    return pkg.optim.exact_tse_gradient(net, window, pkg.optim.SGDConfig(lr=0.05))
 
 
 def same_numbers(a: tuple, b: tuple) -> bool:
@@ -121,6 +137,11 @@ def main() -> int:
               f"change {change[1]:.2f} ms [{change[0]:.2f}, {change[2]:.2f}], "
               f"change/parent {change[1] / parent[1]:.3f}, "
               f"change faster in {wins}/{pairs} pairs")
+    (tse_a, grad_a), (tse_b, grad_b) = (exact_tse(pkg) for pkg in trees)
+    same = tse_a == tse_b and np.array_equal(grad_a, grad_b)
+    identical &= same
+    summary["exact_tse_gradient"] = {"identical": same}
+    print(f"exact_tse_gradient numbers {'identical' if same else 'DIFFER'}")
     print(json.dumps(summary))
     return 0 if identical else 1
 

@@ -28,6 +28,13 @@ values that are read and never differentiated (held-out accuracy, the
 last loss of a replay); read `.value` inside the block, since a `Var`
 made there is a constant to any later `backward`.
 
+Every value is checked for finiteness.  Inside `trapped()`, the region
+of every forward body and backward sweep, op results are guarded by
+numpy's floating-point flags, which raise `NonFiniteError` where a
+finite input turns non-finite; the region's leaves are tested on entry,
+and leaves, constants and matmul (BLAS) results made inside are tested
+entrywise.  Outside a region, `Var.__init__` tests every value.
+
 Images get two linear primitives, each with an adjoint primitive: `im2col3`
 gathers the 3x3 same-padded patch rows (n*h*w, 9c) that a convolution
 right-multiplies by its weight matrix (adjoint `col2im3`), and `boxsum3`
@@ -44,7 +51,6 @@ a graph-building sweep, as the exact unrolled hypergradients do.
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,6 +74,8 @@ class TapeConsumedError(AutodiffError):
 
 # False inside `no_record()`: new Vars keep no parents and no VJP rule.
 _RECORDING = True
+# True inside `trapped()`: numpy's floating-point flags guard op results.
+_TRAPPED = False
 
 
 @contextlib.contextmanager
@@ -84,10 +92,43 @@ def no_record():
 def all_finite(v: np.ndarray) -> bool:
     """True when every entry of `v` is finite.
 
-    A finite sum proves every entry finite; only a sum that is not (an
-    overflow, or a true inf/nan) needs the entrywise test.
+    An entrywise test: it raises no floating-point flag, so it is safe
+    inside `trapped()`, where a sum of large finite entries would
+    overflow and be reported as non-finite.
     """
-    return math.isfinite(np.add.reduce(v, None)) or bool(np.isfinite(v).all())
+    return bool(np.isfinite(v).all())
+
+
+def _raise_nonfinite(kind: str, flag: int):
+    raise NonFiniteError(f"non-finite value from floating-point {kind}")
+
+
+@contextlib.contextmanager
+def trapped(leaves):
+    """Guard op results by numpy's floating-point flags, not a check each.
+
+    The `Var`s in `leaves` (the values the block reads from outside) are
+    checked on entry, since a NaN operand raises no flag.  Inside the
+    block an overflow, invalid operation or division by zero raises
+    `NonFiniteError` where it happens, and an op result skips its own
+    check; underflow stays ignored.  Leaves and constants made inside
+    are still checked, and so are matmul results, whose flags a threaded
+    BLAS raises on worker threads numpy never reads.  The flag and
+    numpy's error state are restored on exit, also on an exception.
+    """
+    global _TRAPPED
+    leaves = list(leaves)
+    # one test over all leaves; only a failure looks for the leaf to name
+    if leaves and not all_finite(np.concatenate([v.value.ravel() for v in leaves])):
+        bad = next(v for v in leaves if not all_finite(v.value))
+        raise NonFiniteError(f"non-finite value in {'leaf' if bad.name is None else bad.name}")
+    prev, _TRAPPED = _TRAPPED, True
+    try:
+        with np.errstate(over="call", invalid="call", divide="call", under="ignore",
+                         call=_raise_nonfinite):
+            yield
+    finally:
+        _TRAPPED = prev
 
 
 class Var:
@@ -97,14 +138,15 @@ class Var:
     constants.  `vjp(g, out, *operands)` is the op's VJP rule: it maps
     the output cotangent `g` to cotangents for `parents`, in order,
     with this module's primitives.  `out` and `operands` are this node
-    and its parents.  Every value is checked for finiteness here.
+    and its parents.  Every value is checked for finiteness here, except
+    an op result inside `trapped()`, which numpy's flags guard.
     """
 
     __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
 
     def __init__(self, value, parents=(), vjp=None, name=None):
         v = np.asarray(value, dtype=np.float64)
-        if not all_finite(v):
+        if not (_TRAPPED and parents) and not all_finite(v):
             raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
         self.value = v
         if _RECORDING:
@@ -280,7 +322,10 @@ def matmul(a, b) -> Var:
         raise ShapeError("matmul expects 2-d operands")
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return Var(a.value @ b.value, (a, b), _matmul_vjp)
+    out = a.value @ b.value
+    if _TRAPPED and not all_finite(out):
+        raise NonFiniteError("non-finite matmul result")
+    return Var(out, (a, b), _matmul_vjp)
 
 
 def _matmul_vjp(g, out, a, b):
@@ -499,9 +544,10 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
     runs each node's VJP rule on `Var`s.  With `create_graph=True` the
     returned gradients are graph nodes that can themselves be
     differentiated.  Otherwise the sweep runs under `no_record()`, so
-    every value is checked the same way but the gradients come back as
-    constants.  A leaf the root does not reach gets a zero constant.
-    Tapes are single-use.
+    it computes the same values but the gradients come back as
+    constants.  Both sweeps run inside `trapped()`, which first checks
+    the tape's parentless nodes.  A leaf the root does not reach gets a
+    zero constant.  Tapes are single-use.
     """
     if t.consumed:
         raise TapeConsumedError("tape already used by a backward pass")
@@ -515,7 +561,8 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
         if not needed.isdisjoint(node.parents):
             needed.add(node)
 
-    with contextlib.nullcontext() if create_graph else no_record():
+    leaves = [node for node in t.nodes if not node.parents]
+    with contextlib.nullcontext() if create_graph else no_record(), trapped(leaves):
         grads: dict = {t.root: const(np.ones(t.root.shape))}
         for node in reversed(t.nodes):
             g = grads.get(node)

@@ -200,12 +200,14 @@ class Supernet:
                 for e_idx in range(len(self.topology.edges))]
 
     def _run(self, batch: np.ndarray, terms: list, params: dict | None) -> Var:
-        """stem, every cell, head: the body of both forward passes."""
+        """stem, every cell, head: the body of both forward passes, run
+        inside `ad.trapped`, which first checks the weights it reads."""
         params = params if params is not None else self.params
-        x = self._stem(batch, params)
-        for layer in range(self.config.layers):
-            x = self._cell(x, layer, params, terms)
-        return self._head(x, params)
+        with ad.trapped(params.values()):
+            x = self._stem(batch, params)
+            for layer in range(self.config.layers):
+                x = self._cell(x, layer, params, terms)
+            return self._head(x, params)
 
     def loss(self, logits: Var, targets: np.ndarray) -> Var:
         return ad.cross_entropy(logits, targets)

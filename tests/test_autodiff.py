@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -502,3 +504,95 @@ def test_no_record_nested_blocks():
             assert not _records()
         assert not _records()
     assert _records()
+
+
+# ------------------------------------------------------------------
+# floating-point trap: op results inside `trapped()` are guarded by
+# numpy's flags; leaves, constants and matmul results are checked
+# ------------------------------------------------------------------
+
+def test_op_results_are_checked_only_outside_regions(monkeypatch):
+    x = ad.param(np.ones(3), "x")
+    checked = []
+    monkeypatch.setattr(ad, "all_finite", lambda v: checked.append(v.shape) or True)
+    for block in (contextlib.nullcontext, ad.no_record):
+        with block(), ad.trapped([]):
+            ad.vtanh(x * 2.0 + 1.0)
+    assert checked == []
+    ad.vtanh(x * 2.0 + 1.0)
+    assert checked == [(3,)] * 3
+
+
+def _overflow_in(region):
+    x = ad.param(1e200, "x")
+    if region == "forward":
+        with ad.trapped([x]):
+            x * 1e200
+    else:
+        # d(1/x)/dx = -g/(x*x): x*x overflows although 1/x is finite
+        ad.grad(1.0 / x, [x], create_graph=region == "graph-building sweep")
+
+
+@pytest.mark.parametrize("region", ["forward", "detached sweep", "graph-building sweep"])
+def test_trapped_overflow_raises_without_warning(region):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NonFiniteError, match="floating-point overflow"):
+            _overflow_in(region)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_backward_rejects_leaf_written_after_forward(bad, create_graph):
+    # a NaN operand raises no flag: only the sweep's entry check sees it
+    a = ad.param(np.ones(3), "a")
+    y = ad.vsum(a * a)
+    a.value = np.array([1.0, bad, 1.0])
+    with pytest.raises(ad.NonFiniteError, match="in a"):
+        ad.grad(y, [a], create_graph=create_graph)
+
+
+def test_trapped_matmul_result_checked_without_flag():
+    # ones @ inf is inf with no flag raised, as a threaded BLAS leaves it
+    inf = np.full((3, 2), np.inf)
+    with np.errstate(all="raise"):
+        assert np.isinf(np.ones((2, 3)) @ inf).all()
+    x, w = ad.const(np.ones((2, 3))), ad.const(np.ones((3, 2)))
+    with ad.trapped([x, w]):
+        w.value = inf
+        with pytest.raises(ad.NonFiniteError, match="matmul"):
+            ad.matmul(x, w)
+
+
+def test_large_finite_values_pass_nested_regions():
+    # every entry and product is 1e308, so a sum of any two overflows
+    w = ad.param(np.full((3, 2), 1e308), "w")
+    x = ad.const(np.eye(2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with ad.trapped([w]):
+            with ad.trapped([w, x]):
+                y = ad.matmul(x, w)
+            (gw,) = ad.grad(ad.vslice(y, (0, 0)), [w])
+    assert np.array_equal(y.value, np.full((2, 2), 1e308))
+    assert np.array_equal(gw.value, np.eye(3, 2)[:, :1] @ np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("error", [ad.NonFiniteError, ad.ShapeError])
+def test_trapped_restores_state_after_exception(error):
+    before, call_before = np.geterr(), np.geterrcall()
+    with ad.trapped([]):
+        with pytest.raises(error):
+            with ad.trapped([]):
+                if error is ad.NonFiniteError:
+                    ad.vexp(ad.const(1e3))
+                else:
+                    ad.matmul(ad.const(np.ones((2, 3))), ad.const(np.ones((2, 3))))
+        # the outer region is still on
+        assert ad._TRAPPED and np.geterr()["over"] == "call"
+    assert not ad._TRAPPED
+    assert np.geterr() == before and np.geterrcall() is call_before
+    with pytest.raises(ad.NonFiniteError):
+        with ad.trapped([ad.param(np.nan, "p")]):   # rejected on entry
+            pass
+    assert not ad._TRAPPED and np.geterr() == before

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,15 @@ class TestSearchCommand:
         assert os.path.exists(os.path.join(out, "abort.json"))
         doc = json.load(open(os.path.join(out, "abort.json")))
         assert "step 2" in doc["error"]
+
+    def test_overflow_aborts_without_warning(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(search_args(out, **{"--lr": "1e300"})) == cli.EXIT_NUMERIC
+        with open(os.path.join(out, "abort.json")) as f:
+            assert "step 1" in json.load(f)["error"]
+        assert capsys.readouterr().err.startswith("numerical abort: window aborted")
 
     def test_eigen_columns_populated_when_enabled(self, tmp_path):
         out = str(tmp_path / "run")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ class TestForward:
         net = make_net()
         with pytest.raises(sn.SupernetError):
             net.forward(np.zeros((2, 7)))
+
+    def test_overflow_raises_without_warning(self):
+        net = make_net()
+        # finite pre-activations of ~1e300, whose batch variance overflows
+        w = net.params["cell0/e0-1/linear/W"]
+        w.value = np.full_like(w.value, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError, match="floating-point overflow"):
+                net.forward(np.random.default_rng(0).standard_normal((6, 16)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["stem/W", "head/b"])
+    def test_weight_written_after_construction_rejected(self, name, bad):
+        net = make_net()
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 16))
+        loss = net.loss(net.forward(x), rng.integers(0, 4, size=6))
+        net.params[name].value = np.full_like(net.params[name].value, bad)
+        with pytest.raises(ad.NonFiniteError, match=name):
+            net.forward(x)
+        with pytest.raises(ad.NonFiniteError, match=name):
+            ad.grad(loss, net.weight_vars())
 
     def test_alpha_shape_checked(self):
         net = make_net()
