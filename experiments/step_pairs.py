@@ -17,12 +17,23 @@ same gradients, bit for bit, and then times `optim.loss_and_grads`
 (one forward and one detached backward over every weight and alpha)
 in N alternating parent/change pairs, the order flipping every pair.
 Interleaving keeps slow drift of the machine out of the comparison,
-which runs of a whole benchmark in separate processes do not.
+which runs of a whole benchmark in separate processes do not.  But both
+trees share one heap in one process, so a change to how much memory a
+step allocates and frees (and to the page faults that follow) is judged
+by pairs of harness runs, each side in its own process, not by this
+script.
 
 A timed step runs no graph-building sweep, so it then checks, untimed,
-that one `optim.exact_tse_gradient` (the `verify` suite's tiny net,
-four batches, lr 0.05) gives the same TSE value and alpha gradient,
-bit for bit, in both trees.
+that two results of graph-building sweeps are the same, bit for bit, in
+both trees:
+
+- `exact_tse_gradient`: one `optim.exact_tse_gradient` (the `verify`
+  suite's tiny net, four batches, lr 0.05), its TSE value and alpha
+  gradient;
+- `image_alpha_hvp`: a double-backward alpha Hessian-vector product on
+  the `image` net and batch (a graph-building sweep for dL/dalpha, then
+  a detached sweep of <dL/dalpha, v> back to alpha), so that the image
+  ops' rules run in both kinds of sweep.
 
 It prints, per net, the median and quartiles of each side's step time
 in ms, the change/parent ratio of the medians, and the fraction of pairs
@@ -65,15 +76,32 @@ def load_tree(src: str, name: str):
     return pkg
 
 
-def make_step(pkg, kw: dict, batch: int):
-    """A no-argument step on a fixed net and batch: `(loss, grads)`."""
+def make_net(pkg, kw: dict, batch: int) -> tuple:
+    """A fixed net, with alpha drawn, and a fixed batch: `(net, x, y)`."""
     net = pkg.supernet.Supernet(pkg.supernet.SupernetConfig(**kw))
     rng = np.random.default_rng(7)
     net.alpha.value = 0.3 * rng.standard_normal(net.alpha.shape)
     x = rng.standard_normal((batch,) + kw["in_shape"])
     y = rng.integers(0, kw["classes"], size=batch)
+    return net, x, y
+
+
+def make_step(pkg, kw: dict, batch: int):
+    """A no-argument step on a fixed net and batch: `(loss, grads)`."""
+    net, x, y = make_net(pkg, kw, batch)
     wrt = net.weight_vars() + [net.alpha]
     return lambda: pkg.optim.loss_and_grads(net, (x, y), wrt)
+
+
+def image_alpha_hvp(pkg) -> np.ndarray:
+    """d<dL/dalpha, v>/dalpha on the `image` net and batch, by a
+    graph-building sweep and a detached sweep through it."""
+    ad = pkg.autodiff
+    net, x, y = make_net(pkg, *NETS["image"])
+    v = np.random.default_rng(8).standard_normal(net.alpha.shape)
+    (g,) = ad.grad(net.loss(net.forward(x), y), [net.alpha], create_graph=True)
+    (hv,) = ad.grad(ad.vsum(g * ad.const(v)), [net.alpha])
+    return hv.value
 
 
 def exact_tse(pkg) -> tuple:
@@ -142,6 +170,11 @@ def main() -> int:
     identical &= same
     summary["exact_tse_gradient"] = {"identical": same}
     print(f"exact_tse_gradient numbers {'identical' if same else 'DIFFER'}")
+    hv_a, hv_b = (image_alpha_hvp(pkg) for pkg in trees)
+    same = np.array_equal(hv_a, hv_b)
+    identical &= same
+    summary["image_alpha_hvp"] = {"identical": same}
+    print(f"image_alpha_hvp numbers {'identical' if same else 'DIFFER'}")
     print(json.dumps(summary))
     return 0 if identical else 1
 

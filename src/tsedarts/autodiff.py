@@ -29,7 +29,8 @@ last loss of a replay); read `.value` inside the block, since a `Var`
 made there is a constant to any later `backward`.
 
 Every value is checked for finiteness.  Inside `trapped()`, the region
-of every forward body and backward sweep, op results are guarded by
+of every forward body, cross-entropy and backward sweep (and of the
+supernet's softmax over alpha), op results are guarded by
 numpy's floating-point flags, which raise `NonFiniteError` where a
 finite input turns non-finite; the region's leaves are tested on entry,
 and leaves, constants and matmul (BLAS) results made inside are tested
@@ -40,7 +41,11 @@ gathers the 3x3 same-padded patch rows (n*h*w, 9c) that a convolution
 right-multiplies by its weight matrix (adjoint `col2im3`), and `boxsum3`
 adds each pixel's zero-padded 3x3 window, offsets in one fixed order,
 for average pooling (adjoint `boxspread3`).  The rules of each pair call
-the other, so both stay twice-differentiable.
+the other, so both stay twice-differentiable.  A convolution is one node,
+`conv3x3(x, w)`, whose value is `im2col3(x) @ w` bit for bit, but which
+keeps no patch rows: they hold 9x the entries of the input, so rather
+than store them from the forward pass to the sweep, its rule gathers them
+again for the weight's cotangent, which costs a copy and no arithmetic.
 
 Hessian-vector products are central differences of two detached
 gradients, accurate enough to assemble the dense architecture Hessian
@@ -51,6 +56,7 @@ a graph-building sweep, as the exact unrolled hypergradients do.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -322,10 +328,16 @@ def matmul(a, b) -> Var:
         raise ShapeError("matmul expects 2-d operands")
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    out = a.value @ b.value
+    return Var(_product(a.value, b.value), (a, b), _matmul_vjp)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b`, tested entrywise inside `trapped()`, since a threaded
+    BLAS raises its flags on worker threads numpy never reads."""
+    out = a @ b
     if _TRAPPED and not all_finite(out):
         raise NonFiniteError("non-finite matmul result")
-    return Var(out, (a, b), _matmul_vjp)
+    return out
 
 
 def _matmul_vjp(g, out, a, b):
@@ -422,23 +434,42 @@ def vscatter(g, key, shape) -> Var:
                lambda gg, out, g: (vslice(gg, key),))
 
 
+@functools.lru_cache(maxsize=32)
+def _patch_index(c: int, h: int, w: int) -> np.ndarray:
+    """Flat positions, in one zero-padded (c, h+2, w+2) image, of its
+    patch rows (h*w, 9c), read row by row; read-only, shared by callers."""
+    y = np.arange(h).reshape(h, 1, 1, 1, 1)
+    x = np.arange(w).reshape(1, w, 1, 1, 1)
+    ch = np.arange(c).reshape(1, 1, c, 1, 1)
+    di = np.arange(3).reshape(1, 1, 1, 3, 1)
+    dj = np.arange(3).reshape(1, 1, 1, 1, 3)
+    index = ((ch * (h + 2) + y + di) * (w + 2) + x + dj).ravel()
+    index.flags.writeable = False
+    return index
+
+
+def _patch_rows(v: np.ndarray) -> np.ndarray:
+    """The patch rows of `im2col3`, as one gather from the zero-padded
+    images, each flattened to a row of c*(h+2)*(w+2) entries."""
+    n, c, h, w = v.shape
+    p = np.zeros((n, c, h + 2, w + 2))
+    p[:, :, 1:-1, 1:-1] = v
+    return p.reshape(n, -1).take(_patch_index(c, h, w), axis=1).reshape(n * h * w, 9 * c)
+
+
 def im2col3(a) -> Var:
     """3x3 same-padded patch rows: (n, c, h, w) -> (n*h*w, 9c).
 
     Row `(i*h + y)*w + x` holds the zero-padded 3x3 window around pixel
     (y, x) of image i; column `9*ch + 3*di + dj` is channel `ch` at
     offset (di - 1, dj - 1).  A (9c, c_out) weight matrix right-multiplies
-    it directly.  Linear with exact adjoint `col2im3`, so convolution is
-    one matmul and stays twice-differentiable.
+    it directly.  Linear with exact adjoint `col2im3`; the forward pass
+    convolves with `conv3x3`, whose rule calls this one.
     """
     a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("im2col3 expects (n, c, h, w)")
-    n, c, h, w = a.shape
-    p = np.zeros((n, h + 2, w + 2, c))     # zero-padded, channels last
-    p[:, 1:1 + h, 1:1 + w] = a.value.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(p, (3, 3), axis=(1, 2))
-    return Var(windows.reshape(n * h * w, 9 * c), (a,), _im2col3_vjp)
+    return Var(_patch_rows(a.value), (a,), _im2col3_vjp)
 
 
 def _im2col3_vjp(g, out, a):
@@ -464,23 +495,50 @@ def _col2im3_vjp(g, out, a):
     return (im2col3(g),)
 
 
+def conv3x3(x, w) -> Var:
+    """3x3 same-padded convolution as one node: `im2col3(x) @ w`, one
+    row of c_out channels per output pixel, (n*h*w, c_out).
+
+    The same values as the two-node chain, bit for bit, but the node
+    keeps no patch rows: the rule gathers them again for the weight's
+    cotangent, a pure copy, and sends the input's through `col2im3`.
+    The rule is written with primitives, so it is twice-differentiable.
+    """
+    x, w = as_var(x), as_var(w)
+    if x.value.ndim != 4 or w.value.ndim != 2:
+        raise ShapeError("conv3x3 expects (n, c, h, w) and (9c, c_out)")
+    if w.value.shape[0] != 9 * x.value.shape[1]:
+        raise ShapeError(f"conv3x3 shape mismatch {x.shape} with {w.shape}")
+    return Var(_product(_patch_rows(x.value), w.value), (x, w), _conv3x3_vjp)
+
+
+def _conv3x3_vjp(g, out, x, w):
+    return (col2im3(matmul(g, transpose(w)), *x.shape[1:]),
+            matmul(transpose(im2col3(x)), g))
+
+
 def boxsum3(a) -> Var:
     """Zero-padded 3x3 box sum of each channel: (n, c, h, w) -> same shape.
 
     A left fold of the 9 shifted windows in offset order k = 3*di + dj =
-    0..8; another order rounds differently.  Linear with exact adjoint
-    `boxspread3`.
+    0..8; another order rounds differently.  Each plane is zero-padded
+    and flattened row by row, with two spare zeros at the end, so that
+    window k is one contiguous slice of h*(w+2) entries from
+    di*(w+2) + dj; the two columns per row that wrap around are dropped.
+    Linear with exact adjoint `boxspread3`.
     """
     a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("boxsum3 expects (n, c, h, w)")
-    h, w = a.shape[2:]
-    p = np.pad(a.value, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = p[:, :, :h, :w].copy()
+    n, c, h, w = a.shape
+    r, m = w + 2, h * (w + 2)
+    flat = np.zeros((n, c, (h + 2) * r + 2))
+    flat[:, :, :(h + 2) * r].reshape(n, c, h + 2, r)[:, :, 1:-1, 1:-1] = a.value
+    out = flat[:, :, :m].copy()
     for k in range(1, 9):
         di, dj = divmod(k, 3)
-        out += p[:, :, di:di + h, dj:dj + w]
-    return Var(out, (a,), _boxsum3_vjp)
+        out += flat[:, :, di * r + dj:di * r + dj + m]
+    return Var(out.reshape(n, c, h, r)[..., :w], (a,), _boxsum3_vjp)
 
 
 def _boxsum3_vjp(g, out, a):
@@ -489,14 +547,25 @@ def _boxsum3_vjp(g, out, a):
 
 def boxspread3(a) -> Var:
     """Adjoint of `boxsum3`: adds each pixel into the 3x3 window around
-    it, offsets 0..8 in order."""
+    it, offsets 0..8 in order, into zeros.
+
+    The flat slices of `boxsum3` in reverse: the rows, widened by two
+    zero columns, are added at offsets di*(w+2) + dj of a flat padded
+    accumulator.  The zero columns add +0.0 where the window wraps, which
+    changes no sum that starts from +0.0, since such a sum is never -0.0.
+    """
     a = as_var(a)
     n, c, h, w = a.shape
-    acc = np.zeros((n, c, h + 2, w + 2))
+    r, m = w + 2, h * (w + 2)
+    rows = np.zeros((n, c, h, r))
+    rows[..., :w] = a.value
+    rows = rows.reshape(n, c, m)
+    acc = np.zeros((n, c, (h + 2) * r + 2))
     for k in range(9):
         di, dj = divmod(k, 3)
-        acc[:, :, di:di + h, dj:dj + w] += a.value
-    return Var(acc[:, :, 1:-1, 1:-1], (a,), _boxspread3_vjp)
+        acc[:, :, di * r + dj:di * r + dj + m] += rows
+    return Var(acc[:, :, r + 1:r + 1 + m].reshape(n, c, h, r)[..., :w],
+               (a,), _boxspread3_vjp)
 
 
 def _boxspread3_vjp(g, out, a):
@@ -629,15 +698,17 @@ def softmax_rows(a: Var) -> Var:
 
 
 def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
-    """Mean cross-entropy of integer labels under softmax of logits."""
+    """Mean cross-entropy of integer labels under softmax of logits,
+    computed inside its own `trapped()` region over the logits."""
     b, k = logits.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
         raise AutodiffError(f"label out of range [0, {k})")
-    shift = const(logits.value.max(axis=1, keepdims=True))
-    z = sub(logits, shift)
-    lse = add(vlog(vsum(vexp(z), axis=1, keepdims=True)), shift)
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
-    picked = vsum(mul(logits, const(onehot)), axis=1, keepdims=True)
-    return vmean(sub(lse, picked))
+    with trapped([logits]):
+        shift = const(logits.value.max(axis=1, keepdims=True))
+        z = sub(logits, shift)
+        lse = add(vlog(vsum(vexp(z), axis=1, keepdims=True)), shift)
+        picked = vsum(mul(logits, const(onehot)), axis=1, keepdims=True)
+        return vmean(sub(lse, picked))

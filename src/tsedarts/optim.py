@@ -89,11 +89,14 @@ def loss_and_grads(net: Supernet, batch, wrt: list) -> tuple:
 
 
 def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
-    """In-place plain SGD: w <- w - lr * g."""
-    for name, p in weights.items():
-        g = grads[name]
-        if not ad.all_finite(g):
-            raise OptimError(f"non-finite gradient for {name}")
+    """In-place plain SGD: w <- w - lr * g.  Every gradient is tested,
+    with one test over all of them, before any weight moves, so a
+    rejected step changes nothing; only a failure looks for the name."""
+    steps = [grads[name] for name in weights]
+    if steps and not ad.all_finite(np.concatenate([np.ravel(g) for g in steps])):
+        bad = next(name for name, g in zip(weights, steps) if not ad.all_finite(g))
+        raise OptimError(f"non-finite gradient for {bad}")
+    for p, g in zip(weights.values(), steps):
         p.value = p.value - cfg.lr * g
 
 

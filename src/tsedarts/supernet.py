@@ -17,8 +17,8 @@ bounded.  No running statistics are kept, so the weights stay the whole
 state; the bias of a normalised affine map is inert, but it is kept so
 that the parameter layout does not change.
 
-On images, ParamConv3x3 (and the stem) is one matmul of the patch rows
-`ad.im2col3(x)` by a (9c, c_out) weight, and AvgPool is
+On images, ParamConv3x3 (and the stem) is `ad.conv3x3(x, W)`, one node
+that multiplies the patch rows of `x` by a (9c, c_out) weight, and AvgPool is
 `ad.boxsum3(x) / 9`, a zero-padded 3x3 window mean.  On vectors, AvgPool
 multiplies by a fixed kernel-3 neighbourhood-averaging matrix.
 
@@ -193,11 +193,13 @@ class Supernet:
 
     def _mixed_terms(self, alpha: Var) -> list:
         """Each edge's (op tag, softmax weight) terms, Zero left out; the
-        weights are sliced once per forward and shared by every cell."""
-        mix = ad.softmax_rows(alpha)
-        return [[(op.tag, ad.vslice(mix, (e_idx, o_idx)))
-                 for o_idx, op in enumerate(self.ops) if op.tag != ZERO]
-                for e_idx in range(len(self.topology.edges))]
+        weights are sliced once per forward and shared by every cell.
+        Runs inside `ad.trapped`, which first checks alpha."""
+        with ad.trapped([alpha]):
+            mix = ad.softmax_rows(alpha)
+            return [[(op.tag, ad.vslice(mix, (e_idx, o_idx)))
+                     for o_idx, op in enumerate(self.ops) if op.tag != ZERO]
+                    for e_idx in range(len(self.topology.edges))]
 
     def _run(self, batch: np.ndarray, terms: list, params: dict | None) -> Var:
         """stem, every cell, head: the body of both forward passes, run
@@ -238,9 +240,9 @@ class Supernet:
         return x @ params["head/W"] + params["head/b"]
 
     def _conv(self, x: Var, w: Var, b: Var) -> Var:
-        # 3x3 same-padded conv: one matmul over the patch rows (n*h*w, 9c)
+        # 3x3 same-padded conv: one node, rows (n*h*w, c_out) per pixel
         n, _, h, wd = x.shape
-        out = ad.im2col3(x) @ w + b
+        out = ad.conv3x3(x, w) + b
         return ad.transpose(ad.reshape(out, (n, h, wd, w.shape[1])), (0, 3, 1, 2))
 
     def _apply_op(self, tag: str, x: Var, layer: int, edge: tuple, params: dict):

@@ -255,6 +255,116 @@ def test_avgpool_is_zero_padded_window_mean():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+# The image kernels as they were first written, kept as references: the
+# gathered patch rows and the flat-slice box sums must equal them bit for
+# bit, -0.0 included.
+
+def _sliding_window_im2col3(v):
+    n, c, h, w = v.shape
+    p = np.zeros((n, h + 2, w + 2, c))     # zero-padded, channels last
+    p[:, 1:1 + h, 1:1 + w] = v.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(p, (3, 3), axis=(1, 2))
+    return windows.reshape(n * h * w, 9 * c)
+
+
+def _pad_shift_boxsum3(v):
+    h, w = v.shape[2:]
+    p = _padded(v)
+    out = p[:, :, :h, :w].copy()
+    for k in range(1, 9):
+        di, dj = divmod(k, 3)
+        out += p[:, :, di:di + h, dj:dj + w]
+    return out
+
+
+def _pad_shift_boxspread3(v):
+    n, c, h, w = v.shape
+    acc = np.zeros((n, c, h + 2, w + 2))
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        acc[:, :, di:di + h, dj:dj + w] += v
+    return acc[:, :, 1:-1, 1:-1]
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+IMAGE_SHAPES = [(2, 3, 4, 5), (3, 1, 5, 2), (1, 2, 1, 3), (2, 1, 6, 1), (2, 4, 8, 8)]
+
+
+def _signed_zeros_image(shape, seed):
+    # random entries, a third of them -0.0, and one image all -0.0 but one
+    # entry, so that some window sums are -0.0 too
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 1 / 3] = -0.0
+    v[0] = -0.0
+    v[0, 0, 0, 0] = 1.5
+    return v
+
+
+@pytest.mark.parametrize("shape", IMAGE_SHAPES, ids=str)
+@pytest.mark.parametrize("op, ref", [
+    (ad.im2col3, _sliding_window_im2col3),
+    (ad.boxsum3, _pad_shift_boxsum3),
+    (ad.boxspread3, _pad_shift_boxspread3),
+], ids=["im2col3", "boxsum3", "boxspread3"])
+def test_image_kernel_matches_reference_bit_for_bit(op, ref, shape):
+    v = _signed_zeros_image(shape, seed=sum(shape))
+    want = ref(v)
+    if op is not ad.boxspread3 and min(shape[2:]) >= 3:
+        assert (np.signbit(want) & (want == 0)).any()   # -0.0 reaches the output
+    assert _same_bits(op(ad.const(v)).value, want)
+
+
+def _conv_loss(conv, x, w, r):
+    # nonlinear, so that x reaches the second derivatives by both paths
+    return ad.vsum(ad.mul(ad.vtanh(conv(x, w)), ad.const(r)))
+
+
+def _chain(x, w):
+    return ad.matmul(ad.im2col3(x), w)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (3, 1, 5, 2)], ids=str)
+def test_conv3x3_matches_im2col3_matmul_chain(shape, create_graph):
+    rng = np.random.default_rng(21)
+    x = ad.param(_signed_zeros_image(shape, seed=22), "x")
+    w = ad.param(rng.standard_normal((9 * shape[1], 2)), "w")
+    r = rng.standard_normal((shape[0] * shape[2] * shape[3], 2))
+    assert _same_bits(ad.conv3x3(x, w).value, _chain(x, w).value)
+    fused, chain = (ad.grad(_conv_loss(conv, x, w, r), [x, w], create_graph=create_graph)
+                    for conv in (ad.conv3x3, _chain))
+    for got, want in zip(fused, chain):
+        assert _same_bits(got.value, want.value)
+    if create_graph:
+        # twice-differentiable: the second derivatives agree up to the
+        # order of two adds, since x's two cotangent terms now meet after
+        # `col2im3`, not before it
+        second = [ad.grad(ad.vsum(gx * gx) + ad.vsum(gw * gw), [x, w])
+                  for gx, gw in (fused, chain)]
+        for got, want in zip(*second):
+            assert np.max(np.abs(got.value - want.value)) <= 1e-12 * np.max(np.abs(want.value))
+
+
+def test_conv3x3_shapes_checked():
+    x = ad.const(np.zeros((2, 3, 4, 4)))
+    with pytest.raises(ad.ShapeError):
+        ad.conv3x3(x, ad.const(np.zeros((9 * 2, 5))))
+    with pytest.raises(ad.ShapeError):
+        ad.conv3x3(ad.const(np.zeros((2, 3, 4))), ad.const(np.zeros((27, 5))))
+
+
+def test_cross_entropy_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NonFiniteError, match="floating-point overflow"):
+            ad.cross_entropy(ad.const([[1e308, -1e308]]), [0])
+
+
 def test_cross_entropy_uniform_logits():
     logits = ad.const(np.zeros((4, 5)))
     loss = ad.cross_entropy(logits, np.array([0, 1, 2, 3]))
@@ -272,8 +382,8 @@ def test_cross_entropy_label_validation():
 
 # The frozen 8-layer s2-like net and the nb201-like image net use every
 # primitive between them: in the forward pass, or only inside a VJP rule
-# (broadcast_to, vscatter, col2im3 and boxspread3, in the rules of vsum,
-# vslice, im2col3 and boxsum3).
+# (broadcast_to, vscatter, im2col3, col2im3 and boxspread3, in the rules
+# of vsum, vslice, conv3x3 and boxsum3).
 SWEEP_NETS = {
     "s2-like-8-layers": (dict(layers=8, width=8, preset="s2-like", classes=4,
                               in_shape=(16,), seed=0), 32),
@@ -558,10 +668,16 @@ def test_trapped_matmul_result_checked_without_flag():
     with np.errstate(all="raise"):
         assert np.isinf(np.ones((2, 3)) @ inf).all()
     x, w = ad.const(np.ones((2, 3))), ad.const(np.ones((3, 2)))
-    with ad.trapped([x, w]):
+    # conv3x3 multiplies too: the patch row of one 1x1 image is zero but
+    # for its centre, which reads row 4 of the weight
+    image, kernel = ad.const(np.ones((1, 1, 1, 1))), ad.const(np.ones((9, 2)))
+    with ad.trapped([x, w, image, kernel]):
         w.value = inf
+        kernel.value[4] = np.inf
         with pytest.raises(ad.NonFiniteError, match="matmul"):
             ad.matmul(x, w)
+        with pytest.raises(ad.NonFiniteError, match="matmul"):
+            ad.conv3x3(image, kernel)
 
 
 def test_large_finite_values_pass_nested_regions():

@@ -51,6 +51,18 @@ class TestSgdStep:
         with pytest.raises(optim.OptimError):
             optim.sgd_step(w, {"w": np.array([np.nan])}, optim.SGDConfig(lr=0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_last_gradient_moves_no_weight(self, bad):
+        net = tiny_net()
+        before = net.snapshot()
+        grads = {k: np.ones_like(v.value) for k, v in net.params.items()}
+        last = list(grads)[-1]
+        grads[last].flat[-1] = bad
+        with pytest.raises(optim.OptimError, match=f"for {last}$"):
+            optim.sgd_step(net.params, grads, optim.SGDConfig(lr=0.1))
+        for name, value in net.snapshot().items():
+            assert np.array_equal(value, before[name]), name
+
     def test_negative_lr_rejected(self):
         with pytest.raises(optim.OptimError):
             optim.SGDConfig(lr=-0.1)

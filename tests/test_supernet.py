@@ -141,6 +141,21 @@ class TestForward:
         with pytest.raises(ad.NonFiniteError, match=name):
             ad.grad(loss, net.weight_vars())
 
+    def test_alpha_softmax_overflow_raises_without_warning(self):
+        net = make_net()
+        net.alpha.value[0, :2] = [1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError, match="floating-point overflow"):
+                net.forward(np.zeros((2, 16)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_alpha_named(self, bad):
+        net = make_net()
+        net.alpha.value[1, 1] = bad
+        with pytest.raises(ad.NonFiniteError, match="in alpha"):
+            net.forward(np.zeros((2, 16)))
+
     def test_alpha_shape_checked(self):
         net = make_net()
         with pytest.raises(sn.SupernetError):
@@ -342,6 +357,18 @@ class TestImageNets:
         _, grads = optim.loss_and_grads(net, (x, y), net.weight_vars() + [net.alpha])
         conv_w = [k for k in net.params if "conv" in k][0]
         assert np.linalg.norm(grads[conv_w]) > 0
+
+    def test_training_loss_graph_holds_no_patch_rows(self):
+        # each convolution is one node that rebuilds its patch rows
+        # (n*h*w, 9c) in its rule instead of keeping them in the graph
+        net = sn.Supernet(sn.SupernetConfig(layers=2, width=4, preset="nb201-like",
+                                            classes=4, in_shape=(1, 8, 8), seed=0))
+        rng = np.random.default_rng(23)
+        loss = net.loss(net.forward(rng.standard_normal((6, 1, 8, 8))),
+                        rng.integers(0, 4, size=6))
+        shapes = {node.shape for node in ad.tape(loss).nodes}
+        assert (6 * 8 * 8, 4) in shapes      # the convolutions' outputs
+        assert not shapes & {(6 * 8 * 8, 9 * c) for c in (1, 4)}
 
 
 class TestImageNetGradients:
