@@ -5,17 +5,29 @@
 PARENT_SRC and CHANGE_SRC are `src/` directories, each holding a
 `tsedarts` package.  Each tree is imported under its own package name,
 so both run side by side in this process, with BLAS pinned to one
-thread.  On each of two nets:
+thread.  Two nets:
 
 - `vector`: the frozen criterion-8 net (s2-like, 8 layers, width 8,
   16 features, 4 classes), batch 32;
 - `image`: the nb201-like net on 1x8x8 images (2 layers, width 4,
-  4 classes), batch 32;
+  4 classes), batch 32.
 
-it first checks that one step of each tree gives the same loss and the
-same gradients, bit for bit, and then times `optim.loss_and_grads`
-(one forward and one detached backward over every weight and alpha)
-in N alternating parent/change pairs, the order flipping every pair.
+Timed cases, each a fixed net, alpha and batch:
+
+- `vector`, `image`: one `optim.loss_and_grads` (one forward and one
+  detached backward) over every weight and alpha;
+- `vector-weights`: the same over the weights alone, as the tse
+  retrain and the darts train step take;
+- `vector-alpha`: the same over alpha alone, as the darts validation
+  step takes;
+- `eigen-512`: one `diagnostics.dominant_eigenvalue` of the vector
+  net's alpha-Hessian on a 512-sample batch (12 finite-difference
+  Hessian-vector products, two alpha-only sweeps each), in at most 16
+  pairs.
+
+For each case it first checks that both trees give the same numbers,
+bit for bit (the loss and gradients, or the eigenvalue), and then times
+it in N alternating parent/change pairs, the order flipping every pair.
 Interleaving keeps slow drift of the machine out of the comparison,
 which runs of a whole benchmark in separate processes do not.  But both
 trees share one heap in one process, so a change to how much memory a
@@ -35,7 +47,7 @@ both trees:
   a detached sweep of <dL/dalpha, v> back to alpha), so that the image
   ops' rules run in both kinds of sweep.
 
-It prints, per net, the median and quartiles of each side's step time
+It prints, per case, the median and quartiles of each side's step time
 in ms, the change/parent ratio of the medians, and the fraction of pairs
 in which the change was faster, then a JSON summary.  It exits 1 when
 the two trees' numbers differ, else 0.  It measures; it gates nothing.
@@ -63,6 +75,8 @@ NETS = {
                    in_shape=(1, 8, 8), seed=0), 32),
 }
 WARMUP = 3
+EIGEN_BATCH = 512
+EIGEN_PAIRS = 16
 
 
 def load_tree(src: str, name: str):
@@ -86,11 +100,31 @@ def make_net(pkg, kw: dict, batch: int) -> tuple:
     return net, x, y
 
 
-def make_step(pkg, kw: dict, batch: int):
-    """A no-argument step on a fixed net and batch: `(loss, grads)`."""
-    net, x, y = make_net(pkg, kw, batch)
-    wrt = net.weight_vars() + [net.alpha]
+def make_step(pkg, net_name: str, leaves: str):
+    """A no-argument step on a fixed net and batch, over the weights and
+    alpha, the weights or alpha (`leaves`): `(loss, grads)`."""
+    net, x, y = make_net(pkg, *NETS[net_name])
+    wrt = {"all": net.weight_vars() + [net.alpha], "weights": net.weight_vars(),
+           "alpha": [net.alpha]}[leaves]
     return lambda: pkg.optim.loss_and_grads(net, (x, y), wrt)
+
+
+def make_eigen(pkg):
+    """A no-argument dominant alpha-Hessian eigenvalue of the `vector`
+    net on a batch of `EIGEN_BATCH`: `(eigenvalue, {})`."""
+    net, x, y = make_net(pkg, NETS["vector"][0], EIGEN_BATCH)
+    closure = pkg.diagnostics.alpha_loss_closure(net, (x, y))
+    return lambda: (pkg.diagnostics.dominant_eigenvalue(closure, net.alpha.value), {})
+
+
+# name -> (no-argument case from a package, most pairs timed)
+CASES = {
+    "vector": (lambda pkg: make_step(pkg, "vector", "all"), None),
+    "vector-weights": (lambda pkg: make_step(pkg, "vector", "weights"), None),
+    "vector-alpha": (lambda pkg: make_step(pkg, "vector", "alpha"), None),
+    "image": (lambda pkg: make_step(pkg, "image", "all"), None),
+    "eigen-512": (make_eigen, EIGEN_PAIRS),
+}
 
 
 def image_alpha_hvp(pkg) -> np.ndarray:
@@ -142,29 +176,30 @@ def main() -> int:
         return 2
     trees = [load_tree(src, f"tsedarts_{side}") for src, side in zip(args, ("parent", "change"))]
     summary, identical = {}, True
-    for name, (kw, batch) in NETS.items():
-        steps = [make_step(pkg, kw, batch) for pkg in trees]
+    for name, (make, most) in CASES.items():
+        steps = [make(pkg) for pkg in trees]
+        n = pairs if most is None else min(pairs, most)
         same = same_numbers(steps[0](), steps[1]())
         identical &= same
-        for _ in range(WARMUP):
+        for _ in range(WARMUP if most is None else 1):
             for step in steps:
                 step()
         ms = ([], [])
-        for i in range(pairs):
+        for i in range(n):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 ms[side].append(timed(steps[side]))
         parent, change = quartiles(ms[0]), quartiles(ms[1])
         wins = sum(c < p for p, c in zip(*ms))
-        summary[name] = {"identical": same, "pairs": pairs,
+        summary[name] = {"identical": same, "pairs": n,
                          "parent_ms_q1_median_q3": parent,
                          "change_ms_q1_median_q3": change,
                          "ratio_of_medians": round(change[1] / parent[1], 4),
                          "change_wins": wins}
-        print(f"{name:6s} numbers {'identical' if same else 'DIFFER'}; "
+        print(f"{name:14s} numbers {'identical' if same else 'DIFFER'}; "
               f"parent {parent[1]:.2f} ms [{parent[0]:.2f}, {parent[2]:.2f}], "
               f"change {change[1]:.2f} ms [{change[0]:.2f}, {change[2]:.2f}], "
               f"change/parent {change[1] / parent[1]:.3f}, "
-              f"change faster in {wins}/{pairs} pairs")
+              f"change faster in {wins}/{n} pairs")
     (tse_a, grad_a), (tse_b, grad_b) = (exact_tse(pkg) for pkg in trees)
     same = tse_a == tse_b and np.array_equal(grad_a, grad_b)
     identical &= same

@@ -19,7 +19,11 @@ it.  A graph-building sweep (`create_graph=True`) records as it goes,
 so the gradients are graph nodes that can be differentiated again
 (needed to unroll exactly through SGD updates).  A detached sweep runs
 the same loop inside `no_record()`, so it computes and checks the same
-values, bit for bit, while it records nothing.
+values, bit for bit, while it records nothing.  Either sweep computes
+only the cotangents of nodes that reach a requested leaf: a two-parent
+rule gets a need flag per parent and skips the cotangent of a parent
+that does not, so a sweep over alpha alone makes no weight cotangent.
+`vmean` is one node, valued and differentiated as `div(vsum(a), n)`.
 
 Inside `with no_record():` the primitives compute and check the same
 values, but a `Var` keeps no parents and no rule, so each intermediate
@@ -82,6 +86,8 @@ class TapeConsumedError(AutodiffError):
 _RECORDING = True
 # True inside `trapped()`: numpy's floating-point flags guard op results.
 _TRAPPED = False
+# numpy's one float64 dtype object, which float64 op results carry
+_F64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -141,22 +147,28 @@ class Var:
     """A node in the computation graph.
 
     Leaves with a `name` are parameters; leaves without one are
-    constants.  `vjp(g, out, *operands)` is the op's VJP rule: it maps
-    the output cotangent `g` to cotangents for `parents`, in order,
-    with this module's primitives.  `out` and `operands` are this node
-    and its parents.  Every value is checked for finiteness here, except
-    an op result inside `trapped()`, which numpy's flags guard.
+    constants.  `parents` is a tuple, kept as given.  `vjp(g, out, a)`
+    (one parent) or `vjp(g, out, a, b, need)` (two parents) is the op's
+    VJP rule: it maps the output cotangent `g` to cotangents for
+    `parents`, in order, with this module's primitives.  `out` and
+    `a`, `b` are this node and its parents; `need` holds one flag per
+    parent, and a two-parent rule returns None in place of the
+    cotangent of a parent whose flag is False.  Every value is checked
+    for finiteness here, except an op result inside `trapped()`, which
+    numpy's flags guard.
     """
 
     __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
 
     def __init__(self, value, parents=(), vjp=None, name=None):
-        v = np.asarray(value, dtype=np.float64)
+        # an op result is already a float64 ndarray, kept without a call
+        v = value if type(value) is np.ndarray and value.dtype is _F64 else \
+            np.asarray(value, dtype=np.float64)
         if not (_TRAPPED and parents) and not all_finite(v):
             raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
         self.value = v
         if _RECORDING:
-            self.parents = tuple(parents)
+            self.parents = parents
             self.vjp = vjp
         else:
             self.parents, self.vjp = (), None
@@ -232,6 +244,8 @@ _SCALAR = (int, float)
 
 def _unbroadcast(g, shape: tuple):
     """Reduce a broadcasted cotangent back to `shape`."""
+    if g.value.shape == shape:
+        return g
     while len(g.shape) > len(shape):
         g = vsum(g, axis=0)
     for ax, n in enumerate(shape):
@@ -241,18 +255,20 @@ def _unbroadcast(g, shape: tuple):
 
 
 def add(a, b) -> Var:
-    if isinstance(b, _SCALAR):
-        a = as_var(a)
-        return Var(a.value + b, (a,), _pass_vjp)
-    if isinstance(a, _SCALAR):
-        b = as_var(b)
-        return Var(a + b.value, (b,), _pass_vjp)
-    a, b = as_var(a), as_var(b)
+    if not (isinstance(a, Var) and isinstance(b, Var)):
+        if isinstance(b, _SCALAR):
+            a = as_var(a)
+            return Var(a.value + b, (a,), _pass_vjp)
+        if isinstance(a, _SCALAR):
+            b = as_var(b)
+            return Var(a + b.value, (b,), _pass_vjp)
+        a, b = as_var(a), as_var(b)
     return Var(a.value + b.value, (a, b), _add_vjp)
 
 
-def _add_vjp(g, out, a, b):
-    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+def _add_vjp(g, out, a, b, need):
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(g, b.shape) if need[1] else None)
 
 
 def _pass_vjp(g, out, a):
@@ -260,34 +276,37 @@ def _pass_vjp(g, out, a):
 
 
 def sub(a, b) -> Var:
-    if isinstance(b, _SCALAR):
-        a = as_var(a)
-        return Var(a.value - b, (a,), _pass_vjp)
-    if isinstance(a, _SCALAR):
-        b = as_var(b)
-        return Var(a - b.value, (b,), _neg_vjp)
-    a, b = as_var(a), as_var(b)
+    if not (isinstance(a, Var) and isinstance(b, Var)):
+        if isinstance(b, _SCALAR):
+            a = as_var(a)
+            return Var(a.value - b, (a,), _pass_vjp)
+        if isinstance(a, _SCALAR):
+            b = as_var(b)
+            return Var(a - b.value, (b,), _neg_vjp)
+        a, b = as_var(a), as_var(b)
     return Var(a.value - b.value, (a, b), _sub_vjp)
 
 
-def _sub_vjp(g, out, a, b):
-    return _unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape)
+def _sub_vjp(g, out, a, b, need):
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(neg(g), b.shape) if need[1] else None)
 
 
 def mul(a, b) -> Var:
-    if isinstance(b, _SCALAR):
-        a = as_var(a)
-        return Var(a.value * b, (a,), lambda g, out, a: (mul(g, b),))
-    if isinstance(a, _SCALAR):
-        c, b = a, as_var(b)
-        return Var(c * b.value, (b,), lambda g, out, b: (mul(g, c),))
-    a, b = as_var(a), as_var(b)
+    if not (isinstance(a, Var) and isinstance(b, Var)):
+        if isinstance(b, _SCALAR):
+            a = as_var(a)
+            return Var(a.value * b, (a,), lambda g, out, a: (mul(g, b),))
+        if isinstance(a, _SCALAR):
+            c, b = a, as_var(b)
+            return Var(c * b.value, (b,), lambda g, out, b: (mul(g, c),))
+        a, b = as_var(a), as_var(b)
     return Var(a.value * b.value, (a, b), _mul_vjp)
 
 
-def _mul_vjp(g, out, a, b):
-    return (_unbroadcast(mul(g, b), a.shape),
-            _unbroadcast(mul(g, a), b.shape))
+def _mul_vjp(g, out, a, b, need):
+    return (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
+            _unbroadcast(mul(g, a), b.shape) if need[1] else None)
 
 
 def div(a, b) -> Var:
@@ -302,9 +321,9 @@ def div(a, b) -> Var:
     return Var(a.value / b.value, (a, b), _div_vjp)
 
 
-def _div_vjp(g, out, a, b):
-    return (_unbroadcast(div(g, b), a.shape),
-            _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape))
+def _div_vjp(g, out, a, b, need):
+    return (_unbroadcast(div(g, b), a.shape) if need[0] else None,
+            _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape) if need[1] else None)
 
 
 def neg(a) -> Var:
@@ -340,8 +359,9 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matmul_vjp(g, out, a, b):
-    return matmul(g, transpose(b)), matmul(transpose(a), g)
+def _matmul_vjp(g, out, a, b, need):
+    return (matmul(g, transpose(b)) if need[0] else None,
+            matmul(transpose(a), g) if need[1] else None)
 
 
 def transpose(a, axes=None) -> Var:
@@ -387,23 +407,41 @@ def _vtanh_vjp(g, out, a):
     return (mul(g, sub(1.0, mul(out, out))),)
 
 
+def _spread(g, shape: tuple, axis, keepdims: bool):
+    """Adjoint of a sum over `axis` of an array of `shape`: `g`, with
+    the summed axis put back, broadcast to `shape`."""
+    if axis is not None and not keepdims:
+        kd = list(shape)
+        kd[axis] = 1
+        g = reshape(g, tuple(kd))
+    return broadcast_to(g, shape)
+
+
 def vsum(a, axis=None, keepdims=False) -> Var:
+    # np.add.reduce is the reduction ndarray.sum runs, without its Python frame
     a = as_var(a)
-
-    def vjp(g, out, a):
-        if axis is not None and not keepdims:
-            kd = list(a.shape)
-            kd[axis] = 1
-            g = reshape(g, tuple(kd))
-        return (broadcast_to(g, a.shape),)
-
-    return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return Var(np.add.reduce(a.value, axis=axis, keepdims=keepdims), (a,),
+               lambda g, out, a: (_spread(g, a.shape, axis, keepdims),))
 
 
 def broadcast_to(a, shape) -> Var:
-    """Read-only broadcast view; the adjoint sums back to `a`'s shape."""
+    """Read-only broadcast view, built from strides (0 repeats an axis
+    of length 1) without numpy's Python-level `np.broadcast_to`: the same
+    view for a C-contiguous `a`, which any other `a` is copied to first.
+    The adjoint sums back to `a`'s shape."""
     a = as_var(a)
-    return Var(np.broadcast_to(a.value, shape), (a,), _broadcast_to_vjp)
+    v = a.value if a.value.flags.c_contiguous else a.value.copy()
+    lead = len(shape) - v.ndim
+    if lead < 0:
+        raise ShapeError(f"cannot broadcast {a.shape} to {shape}")
+    strides = [0] * lead
+    for n, m, step in zip(v.shape, shape[lead:], v.strides):
+        if n != m and n != 1:
+            raise ShapeError(f"cannot broadcast {a.shape} to {shape}")
+        strides.append(step if n == m else 0)
+    out = np.ndarray(shape, _F64, v, 0, tuple(strides))
+    out.flags.writeable = False
+    return Var(out, (a,), _broadcast_to_vjp)
 
 
 def _broadcast_to_vjp(g, out, a):
@@ -411,9 +449,12 @@ def _broadcast_to_vjp(g, out, a):
 
 
 def vmean(a, axis=None, keepdims=False) -> Var:
+    """One node, valued as `div(vsum(a, axis, keepdims), n)` bit for bit,
+    with n the count of entries averaged; its rule is that chain's."""
     a = as_var(a)
-    n = a.value.size if axis is None else a.shape[axis]
-    return div(vsum(a, axis=axis, keepdims=keepdims), float(n))
+    n = float(a.value.size if axis is None else a.shape[axis])
+    return Var(np.add.reduce(a.value, axis=axis, keepdims=keepdims) / n, (a,),
+               lambda g, out, a: (_spread(div(g, n), a.shape, axis, keepdims),))
 
 
 def vslice(a, key) -> Var:
@@ -512,9 +553,9 @@ def conv3x3(x, w) -> Var:
     return Var(_product(_patch_rows(x.value), w.value), (x, w), _conv3x3_vjp)
 
 
-def _conv3x3_vjp(g, out, x, w):
-    return (col2im3(matmul(g, transpose(w)), *x.shape[1:]),
-            matmul(transpose(im2col3(x)), g))
+def _conv3x3_vjp(g, out, x, w, need):
+    return (col2im3(matmul(g, transpose(w)), *x.shape[1:]) if need[0] else None,
+            matmul(transpose(im2col3(x)), g) if need[1] else None)
 
 
 def boxsum3(a) -> Var:
@@ -586,19 +627,23 @@ class Tape:
 
 
 def _toposort(root: Var) -> list:
-    order, seen, stack = [], set(), [(root, False)]
+    """Depth-first post-order from `root`: parents before children.
+
+    A node first visited is pushed back under a `None` marker, which
+    appends it to the order when popped, after all its parents.
+    """
+    order, seen, stack = [], set(), [root]
     while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for p in node.parents:
-            if p not in seen:
-                stack.append((p, False))
+        node = stack.pop()
+        if node is None:
+            order.append(stack.pop())
+        elif node not in seen:
+            seen.add(node)
+            stack.append(node)
+            stack.append(None)
+            for p in node.parents:
+                if p not in seen:
+                    stack.append(p)
     return order
 
 
@@ -617,6 +662,10 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
     constants.  Both sweeps run inside `trapped()`, which first checks
     the tape's parentless nodes.  A leaf the root does not reach gets a
     zero constant.  Tapes are single-use.
+
+    Only the cotangents of needed nodes (those that reach a requested
+    leaf) are computed: a one-parent rule runs only when its parent is
+    needed, and a two-parent rule gets a need flag per parent.
     """
     if t.consumed:
         raise TapeConsumedError("tape already used by a backward pass")
@@ -624,29 +673,40 @@ def backward(t: Tape, wrt: Sequence[Var] = (), create_graph: bool = False) -> li
 
     # Keyed by node: `Var` hashes by identity, as it defines no `__eq__`.
     want = set(wrt)
-    # Only propagate through nodes that can reach a requested leaf.
     needed = set(want)
+    leaves = []
     for node in t.nodes:
-        if not needed.isdisjoint(node.parents):
+        if not node.parents:
+            leaves.append(node)
+        elif not needed.isdisjoint(node.parents):
             needed.add(node)
 
-    leaves = [node for node in t.nodes if not node.parents]
     with contextlib.nullcontext() if create_graph else no_record(), trapped(leaves):
         grads: dict = {t.root: const(np.ones(t.root.shape))}
+        found: dict = {}
         for node in reversed(t.nodes):
-            g = grads.get(node)
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            if node.vjp is not None:
-                pgrads = node.vjp(g, node, *node.parents)
-                for p, pg in zip(node.parents, pgrads):
-                    if p not in needed:
-                        continue
-                    acc = grads.get(p)
-                    grads[p] = pg if acc is None else add(acc, pg)
-            if node not in want:
-                del grads[node]
-        return [grads[v] if v in grads else const(np.zeros(v.shape)) for v in wrt]
+            if node in want:
+                found[node] = g
+            # accumulation spelled out per parent count: no zip per node
+            parents = node.parents
+            if len(parents) == 2:
+                a, b = parents
+                ga, gb = node.vjp(g, node, a, b, (a in needed, b in needed))
+                if ga is not None:
+                    acc = grads.get(a)
+                    grads[a] = ga if acc is None else add(acc, ga)
+                if gb is not None:
+                    acc = grads.get(b)
+                    grads[b] = gb if acc is None else add(acc, gb)
+            elif parents and parents[0] in needed:
+                a = parents[0]
+                (ga,) = node.vjp(g, node, a)
+                acc = grads.get(a)
+                grads[a] = ga if acc is None else add(acc, ga)
+        return [found[v] if v in found else const(np.zeros(v.shape)) for v in wrt]
 
 
 def grad(output: Var, wrt: Sequence[Var], create_graph: bool = False) -> list:
