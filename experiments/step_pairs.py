@@ -23,7 +23,9 @@ Timed cases, each a fixed net, alpha and batch:
 - `eigen-512`: one `diagnostics.dominant_eigenvalue` of the vector
   net's alpha-Hessian on a 512-sample batch (12 finite-difference
   Hessian-vector products, two alpha-only sweeps each), in at most 16
-  pairs.
+  pairs.  A tree that has `parallel.fork_map` computes the columns in
+  forked processes, one per CPU, so its side may use a second CPU and
+  pays the fork; leave the other CPUs idle while it runs.
 
 For each case it first checks that both trees give the same numbers,
 bit for bit (the loss and gradients, or the eigenvalue), and then times

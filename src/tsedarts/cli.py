@@ -27,6 +27,7 @@ from . import optim
 from . import oracles
 from . import space as spacemod
 from . import supernet as snmod
+from .parallel import fork_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -254,56 +255,64 @@ def _tiny_batches(seed: int, count: int):
             for _ in range(count)]
 
 
+def _gradient_checks(seed: int) -> list:
+    net = _tiny_net(seed)
+    net.alpha.value = 0.3 * np.random.default_rng(seed + 50).standard_normal(
+        net.alpha.shape)
+    window = optim.make_window(net, _tiny_batches(seed + 100, 4))
+
+    # At lr 0 the approximate and exact TSE gradients must coincide.
+    zero = optim.SGDConfig(lr=0.0)
+    approx = optim.tse_unroll(net, window, zero).alpha_grad
+    _, exact = optim.exact_tse_gradient(net, window, zero)
+    err0 = float(np.max(np.abs(approx - exact)))
+
+    # Exact hypergradient vs central differences of the final loss.
+    cfg = optim.SGDConfig(lr=0.05)
+    exact_h = optim.exact_hypergradient(net, window, cfg).ravel()
+
+    fd = oracles.fd_gradient(
+        lambda a: oracles.replay_final_loss(net, window, cfg, a),
+        net.alpha.value.ravel(), step=1e-5)
+    denom = max(float(np.max(np.abs(fd))), 1e-8)
+    err = float(np.max(np.abs(exact_h - fd)) / denom)
+    return [{"name": f"tse-grad-lr0-seed{seed}", "error": err0,
+             "tolerance": 1e-12, "pass": err0 < 1e-12},
+            {"name": f"exact-hypergrad-fd-seed{seed}", "error": err,
+             "tolerance": 1e-4, "pass": err < 1e-4}]
+
+
 def _suite_gradients() -> dict:
-    checks = []
-    for seed in range(3):
-        net = _tiny_net(seed)
-        net.alpha.value = 0.3 * np.random.default_rng(seed + 50).standard_normal(
-            net.alpha.shape)
-        window = optim.make_window(net, _tiny_batches(seed + 100, 4))
-
-        # At lr 0 the approximate and exact TSE gradients must coincide.
-        zero = optim.SGDConfig(lr=0.0)
-        approx = optim.tse_unroll(net, window, zero).alpha_grad
-        _, exact = optim.exact_tse_gradient(net, window, zero)
-        err0 = float(np.max(np.abs(approx - exact)))
-        checks.append({"name": f"tse-grad-lr0-seed{seed}", "error": err0,
-                       "tolerance": 1e-12, "pass": err0 < 1e-12})
-
-        # Exact hypergradient vs central differences of the final loss.
-        cfg = optim.SGDConfig(lr=0.05)
-        exact_h = optim.exact_hypergradient(net, window, cfg).ravel()
-
-        fd = oracles.fd_gradient(
-            lambda a: oracles.replay_final_loss(net, window, cfg, a),
-            net.alpha.value.ravel(), step=1e-5)
-        denom = max(float(np.max(np.abs(fd))), 1e-8)
-        err = float(np.max(np.abs(exact_h - fd)) / denom)
-        checks.append({"name": f"exact-hypergrad-fd-seed{seed}", "error": err,
-                       "tolerance": 1e-4, "pass": err < 1e-4})
+    checks = [c for cs in fork_map(_gradient_checks, range(3)) for c in cs]
     return {"suite": "gradients", "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
 
+def _eigen_check(case) -> dict:
+    i, a = case
+
+    def closure(theta):
+        leaf = ad.param(theta.reshape(1, -1), name="theta")
+        quad = ad.vsum((leaf @ ad.const(a)) * leaf) * 0.5
+        return quad, leaf
+
+    est = diag.dominant_eigenvalue(closure, np.zeros(len(a)))
+    ref = oracles.dense_dominant_eigenvalue(
+        lambda th: 0.5 * float(th @ a @ th), np.zeros(len(a)))
+    err = float(abs(est - ref) / max(abs(ref), 1e-12))
+    return {"name": f"eigen-quadratic-{i}", "error": err,
+            "tolerance": 1e-3, "pass": bool(err < 1e-3)}
+
+
 def _suite_eigen(count: int = 10) -> dict:
     dim = 10
-    checks = []
     rng = np.random.default_rng(0)
-    for i in range(count):
+    quads = []
+    for _ in range(count):
         m = rng.standard_normal((dim, dim))
-        a = 0.5 * (m + m.T)
-
-        def closure(theta, a=a):
-            leaf = ad.param(theta.reshape(1, -1), name="theta")
-            quad = ad.vsum((leaf @ ad.const(a)) * leaf) * 0.5
-            return quad, leaf
-
-        est = diag.dominant_eigenvalue(closure, np.zeros(dim))
-        ref = oracles.dense_dominant_eigenvalue(
-            lambda th, a=a: 0.5 * float(th @ a @ th), np.zeros(dim))
-        err = float(abs(est - ref) / max(abs(ref), 1e-12))
-        checks.append({"name": f"eigen-quadratic-{i}", "error": err,
-                       "tolerance": 1e-3, "pass": bool(err < 1e-3)})
+        quads.append(0.5 * (m + m.T))
+    # one fork for all checks; each estimate runs serially inside its share
+    checks = fork_map(_eigen_check, enumerate(quads))
     return {"suite": "eigen", "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 

@@ -1,7 +1,8 @@
 """Per-epoch search diagnostics.
 
 Dominant eigenvalue of the loss Hessian w.r.t. the architecture logits
-(dense Hessian from finite-difference Hessian-vector products),
+(dense Hessian from finite-difference Hessian-vector products, its
+columns spread over the CPUs),
 skip-connection counts, cell depth and validation accuracy (in
 balanced chunks of at most `VAL_CHUNK` = 256 samples), gathered once
 per epoch into a runlog record (a plain dict) that SearchTrace
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .parallel import fork_map
 from .space import ArchEncoding, Genotype, cell_depth, discretize, skip_count
 from .supernet import Supernet
 
@@ -32,12 +34,14 @@ def dominant_eigenvalue(loss_closure, alpha0: np.ndarray) -> float:
     returns (loss Var, leaf Var).  One Hessian-vector product along each
     basis vector gives the n columns, and the symmetrised matrix is
     decomposed exactly: n products in all, for the 12 (s2-like) or 24
-    (nb201-like) entries of alpha.  A Hessian of norm below 1e-10 reads
-    0.0.
+    (nb201-like) entries of alpha.  The columns are independent, so
+    `parallel.fork_map` computes them side by side, one process per CPU,
+    with the same numbers as one by one.  A Hessian of norm below 1e-10
+    reads 0.0.
     """
     theta = np.asarray(alpha0, dtype=np.float64).ravel()
-    h = np.stack([ad.hvp(loss_closure, theta, e) for e in np.eye(theta.size)],
-                 axis=1)
+    h = np.stack(fork_map(lambda e: ad.hvp(loss_closure, theta, e),
+                          np.eye(theta.size)), axis=1)
     h = 0.5 * (h + h.T)
     if np.linalg.norm(h) < 1e-10:
         return 0.0

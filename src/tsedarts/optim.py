@@ -29,8 +29,11 @@ class UnrollAbort(RuntimeError):
     """Non-finite loss inside an unrolling window."""
 
     def __init__(self, step: int, message: str):
-        super().__init__(f"window aborted at step {step}: {message}")
+        super().__init__(step, message)   # args rebuild it when unpickled
         self.step = step
+
+    def __str__(self):
+        return f"window aborted at step {self.args[0]}: {self.args[1]}"
 
 
 @dataclass(frozen=True)

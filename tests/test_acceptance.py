@@ -15,6 +15,7 @@ import pytest
 import tsedarts.autodiff as ad
 from tsedarts import cli, optim, oracles
 from tsedarts import supernet as sn
+from tsedarts.parallel import fork_map
 from tsedarts.space import (SKIP, ArchEncoding, CellTopology, Genotype,
                             OperationKind, cell_depth, discretize)
 
@@ -209,12 +210,16 @@ def _collapse_run(optimizer, seed, tmp_path):
 def collapse_runs(tmp_path_factory):
     """Final runlog record of every frozen collapse search, per optimizer.
 
-    The ten searches dominate the suite's runtime, so they run once and
-    feed both criterion 8 and the check that those searches train.
+    The ten searches dominate the suite's runtime, so they run once,
+    spread over the CPUs by `fork_map` (each search is the same as run
+    alone), and feed both criterion 8 and the check that those searches
+    train.
     """
     tmp_path = tmp_path_factory.mktemp("collapse")
-    return {opt: [_collapse_run(opt, s, tmp_path)
-                  for s in COLLAPSE_SETTING["seeds"]]
+    runs = [(opt, s) for opt in ("darts-1st", "tse-darts")
+            for s in COLLAPSE_SETTING["seeds"]]
+    finals = fork_map(lambda run: _collapse_run(*run, tmp_path), runs)
+    return {opt: [f for (o, _), f in zip(runs, finals) if o == opt]
             for opt in ("darts-1st", "tse-darts")}
 
 

@@ -42,21 +42,23 @@ class TestDominantEigenvalue:
         est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
         assert est == pytest.approx(-7.0, abs=1e-3)
 
-    def test_one_hvp_per_alpha_entry(self, monkeypatch):
-        # each finite-difference HVP is two backward sweeps
-        calls = []
+    def test_one_hvp_per_alpha_entry(self, monkeypatch, tmp_path):
+        # each finite-difference HVP is two backward sweeps; the columns may
+        # run in forked children, so each sweep is counted in a shared file
+        calls = tmp_path / "sweeps"
         backward = ad.backward
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            with open(calls, "a") as f:
+                f.write(".")
             return backward(*args, **kwargs)
 
         monkeypatch.setattr(ad, "backward", counted)
         for n in (2, 5):
-            calls.clear()
+            calls.write_text("")
             dg.dominant_eigenvalue(quad_closure(np.diag(np.arange(1.0, n + 1))),
                                    np.zeros(n))
-            assert len(calls) == 2 * n
+            assert len(calls.read_text()) == 2 * n
 
     def test_alpha_closure_on_supernet(self):
         net = make_net()
