@@ -25,11 +25,18 @@ Timed cases, each a fixed net, alpha and batch:
   Hessian-vector products, two alpha-only sweeps each), in at most 16
   pairs.  A tree that has `parallel.fork_map` computes the columns in
   forked processes, one per CPU, so its side may use a second CPU and
-  pays the fork; leave the other CPUs idle while it runs.
+  pays the fork; leave the other CPUs idle while it runs;
+- `verify-gradients`: one `cli._suite_gradients()`, the `verify`
+  gradients suite (three tiny nets: the lr-0 TSE checks, the exact
+  hypergradients and their central differences), in at most 16 pairs.
+  Both trees spread it over the CPUs with `parallel.fork_map`, so the
+  same care applies.  A `verify` pass in the benchmark also runs the
+  eigen and depth suites; this case times the gradients suite alone.
 
 For each case it first checks that both trees give the same numbers,
-bit for bit (the loss and gradients, or the eigenvalue), and then times
-it in N alternating parent/change pairs, the order flipping every pair.
+bit for bit (the loss and gradients, the eigenvalue, or the suite's
+checks), and then times it in N alternating parent/change pairs, the
+order flipping every pair.
 Interleaving keeps slow drift of the machine out of the comparison,
 which runs of a whole benchmark in separate processes do not.  But both
 trees share one heap in one process, so a change to how much memory a
@@ -37,9 +44,10 @@ step allocates and frees (and to the page faults that follow) is judged
 by pairs of harness runs, each side in its own process, not by this
 script.
 
-A timed step runs no graph-building sweep, so it then checks, untimed,
-that two results of graph-building sweeps are the same, bit for bit, in
-both trees:
+Apart from `verify-gradients`, the timed steps run no graph-building
+sweep, and that case compares only the suite's errors, so the script
+then checks, untimed, that two results of graph-building sweeps are the
+same, bit for bit, in both trees:
 
 - `exact_tse_gradient`: one `optim.exact_tse_gradient` (the `verify`
   suite's tiny net, four batches, lr 0.05), its TSE value and alpha
@@ -78,7 +86,7 @@ NETS = {
 }
 WARMUP = 3
 EIGEN_BATCH = 512
-EIGEN_PAIRS = 16
+FORKED_PAIRS = 16   # the forked cases take ~0.3 s a step
 
 
 def load_tree(src: str, name: str):
@@ -119,13 +127,20 @@ def make_eigen(pkg):
     return lambda: (pkg.diagnostics.dominant_eigenvalue(closure, net.alpha.value), {})
 
 
+def make_verify_gradients(pkg):
+    """A no-argument `verify` gradients suite: `(checks, {})`."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    return lambda: (cli._suite_gradients()["checks"], {})
+
+
 # name -> (no-argument case from a package, most pairs timed)
 CASES = {
     "vector": (lambda pkg: make_step(pkg, "vector", "all"), None),
     "vector-weights": (lambda pkg: make_step(pkg, "vector", "weights"), None),
     "vector-alpha": (lambda pkg: make_step(pkg, "vector", "alpha"), None),
     "image": (lambda pkg: make_step(pkg, "image", "all"), None),
-    "eigen-512": (make_eigen, EIGEN_PAIRS),
+    "eigen-512": (make_eigen, FORKED_PAIRS),
+    "verify-gradients": (make_verify_gradients, FORKED_PAIRS),
 }
 
 

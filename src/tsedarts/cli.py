@@ -34,6 +34,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+# Every file a search writes into its --out directory.
+RUN_FILES = ("config.json", "runlog.jsonl", "metrics.csv", "genotype.json",
+             snmod.BLOB_NAME, snmod.MANIFEST_NAME, "abort.json")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -181,6 +186,15 @@ def run_search(config: RunConfig) -> int:
         os.makedirs(config.out, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"--out {config.out}: {err.strerror}") from None
+    # a run into an existing --out keeps no artefact of an earlier run there
+    for name in RUN_FILES:
+        try:
+            os.remove(os.path.join(config.out, name))
+        except FileNotFoundError:
+            pass
+        except OSError as err:
+            raise ConfigError(f"--out {config.out}: cannot remove {name}: "
+                              f"{err.strerror}") from None
     with open(os.path.join(config.out, "config.json"), "w") as f:
         json.dump(resolved, f, indent=2)
 
@@ -255,35 +269,67 @@ def _tiny_batches(seed: int, count: int):
             for _ in range(count)]
 
 
-def _gradient_checks(seed: int) -> list:
+def _gradient_case(seed: int) -> tuple:
+    """The gradients suite's tiny net for `seed`, alpha drawn, and its
+    window of four batches: `(net, window)`."""
     net = _tiny_net(seed)
     net.alpha.value = 0.3 * np.random.default_rng(seed + 50).standard_normal(
         net.alpha.shape)
-    window = optim.make_window(net, _tiny_batches(seed + 100, 4))
+    return net, optim.make_window(net, _tiny_batches(seed + 100, 4))
 
-    # At lr 0 the approximate and exact TSE gradients must coincide.
-    zero = optim.SGDConfig(lr=0.0)
-    approx = optim.tse_unroll(net, window, zero).alpha_grad
-    _, exact = optim.exact_tse_gradient(net, window, zero)
-    err0 = float(np.max(np.abs(approx - exact)))
 
-    # Exact hypergradient vs central differences of the final loss.
+def _gradient_job(job):
+    """One route of the gradients suite on one case, `(net, window, route)`.
+
+    Route "lr0" gives the largest gap between the approximate and the
+    exact TSE gradient at lr 0, "exact" the exact hypergradient at lr
+    0.05, and an int i the central difference of the replayed final loss
+    in alpha entry i.  No job depends on another: each restores the
+    snapshot `window.w0` itself or reads it as constants, the lr-0 steps
+    leave the weights as they were, and the replays restore alpha and
+    the weights.
+    """
+    net, window, route = job
+    if route == "lr0":
+        zero = optim.SGDConfig(lr=0.0)
+        approx = optim.tse_unroll(net, window, zero).alpha_grad
+        _, exact = optim.exact_tse_gradient(net, window, zero)
+        return float(np.max(np.abs(approx - exact)))
     cfg = optim.SGDConfig(lr=0.05)
-    exact_h = optim.exact_hypergradient(net, window, cfg).ravel()
+    if route == "exact":
+        return optim.exact_hypergradient(net, window, cfg).ravel()
+    alpha = net.alpha.value.ravel()
 
-    fd = oracles.fd_gradient(
-        lambda a: oracles.replay_final_loss(net, window, cfg, a),
-        net.alpha.value.ravel(), step=1e-5)
-    denom = max(float(np.max(np.abs(fd))), 1e-8)
-    err = float(np.max(np.abs(exact_h - fd)) / denom)
-    return [{"name": f"tse-grad-lr0-seed{seed}", "error": err0,
-             "tolerance": 1e-12, "pass": err0 < 1e-12},
-            {"name": f"exact-hypergrad-fd-seed{seed}", "error": err,
-             "tolerance": 1e-4, "pass": err < 1e-4}]
+    def final_loss(entry):   # alpha with entry `route` set to entry[0]
+        a = alpha.copy()
+        a[route] = entry[0]
+        return oracles.replay_final_loss(net, window, cfg, a)
+
+    # a one-entry restriction: the same up and down alphas as over all of alpha
+    return oracles.fd_gradient(final_loss, alpha[route:route + 1], step=1e-5)[0]
 
 
 def _suite_gradients() -> dict:
-    checks = [c for cs in fork_map(_gradient_checks, range(3)) for c in cs]
+    seeds = range(3)
+    cases = [_gradient_case(seed) for seed in seeds]
+    n = cases[0][0].alpha.value.size
+    # one job per route and seed, the larger routes first: fork_map hands
+    # the jobs out in order, so the small ones even out where the processes end
+    keys = [(route, seed) for route in ("lr0", "exact", *range(n)) for seed in seeds]
+    got = dict(zip(keys, fork_map(_gradient_job,
+                                  [(*cases[seed], route) for route, seed in keys])))
+    checks = []
+    for seed in seeds:
+        # at lr 0 the approximate and exact TSE gradients must coincide
+        err0 = got["lr0", seed]
+        # exact hypergradient vs central differences of the final loss
+        fd = np.array([got[i, seed] for i in range(n)])
+        denom = max(float(np.max(np.abs(fd))), 1e-8)
+        err = float(np.max(np.abs(got["exact", seed] - fd)) / denom)
+        checks += [{"name": f"tse-grad-lr0-seed{seed}", "error": err0,
+                    "tolerance": 1e-12, "pass": err0 < 1e-12},
+                   {"name": f"exact-hypergrad-fd-seed{seed}", "error": err,
+                    "tolerance": 1e-4, "pass": err < 1e-4}]
     return {"suite": "gradients", "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 

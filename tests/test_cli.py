@@ -289,6 +289,28 @@ class TestSearchCommand:
             assert "step 1" in json.load(f)["error"]
         assert capsys.readouterr().err.startswith("numerical abort: window aborted")
 
+    def test_rerun_after_an_abort_keeps_no_abort_file(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.main(search_args(out, **{"--lr": "1e300"})) == cli.EXIT_NUMERIC
+        assert cli.main(search_args(out)) == cli.EXIT_OK
+        assert sorted(os.listdir(out)) == sorted(set(cli.RUN_FILES) - {"abort.json"})
+
+    def test_abort_after_a_success_keeps_no_results(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.main(search_args(out)) == cli.EXIT_OK
+        assert cli.main(search_args(out, **{"--lr": "1e300"})) == cli.EXIT_NUMERIC
+        assert sorted(os.listdir(out)) == ["abort.json", "config.json", "runlog.jsonl"]
+        assert read_jsonl(os.path.join(out, "runlog.jsonl")) == []
+
+    def test_unremovable_earlier_artefact_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "abort.json").mkdir(parents=True)
+        (out / "notes.txt").write_text("keep\n")
+        assert cli.main(search_args(str(out))) == cli.EXIT_CONFIG
+        assert f"config error: --out {out}: cannot remove abort.json" in \
+            capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["abort.json", "notes.txt"]
+
     def test_eigen_columns_populated_when_enabled(self, tmp_path):
         out = str(tmp_path / "run")
         cli.main(search_args(out, **{"--diag-eigen": "on", "--epochs": "1"}))

@@ -1,4 +1,4 @@
-"""fork_map, and the bits of its callers at one and two CPUs.
+"""fork_map, and the bits of its callers at one, two and three CPUs.
 
 The CPU count is patched to 1, 2 or 3, whatever the machine has, so the
 forked paths run everywhere.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tsedarts import autodiff as ad
-from tsedarts import cli, optim, parallel
+from tsedarts import cli, optim, oracles, parallel
 from tsedarts import diagnostics as dg
 from tsedarts import supernet as sn
 from tsedarts.parallel import ForkMapError, fork_map
@@ -93,6 +93,37 @@ def test_program_errors_survive_pickling(err):
     assert getattr(back, "step", None) == getattr(err, "step", None)
 
 
+def test_a_slow_process_does_not_hold_up_the_rest(cpus):
+    cpus(2)
+
+    def fn(x):
+        if x == 1:
+            time.sleep(0.5)
+        return os.getpid()
+
+    pids = fork_map(fn, range(8))
+    assert pids[1] != os.getpid()
+    assert pids[:1] + pids[2:] == [os.getpid()] * 7
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_every_item_runs_once_with_more_processes_than_cores(cpus, tmp_path, k):
+    cpus(k)
+    log = tmp_path / "calls.txt"
+
+    def fn(x):
+        with open(log, "a") as f:   # appends of one short line do not interleave
+            f.write(f"{x}\n")
+        return x * x
+
+    t0 = time.monotonic()
+    assert fork_map(fn, range(3000)) == [x * x for x in range(3000)]
+    assert sorted(int(line) for line in log.read_text().split()) == list(range(3000))
+    assert time.monotonic() - t0 < 60
+    assert_no_child_left()
+
+
 def test_nested_call_runs_in_the_calling_process(cpus):
     cpus(2)
 
@@ -151,7 +182,7 @@ def test_interrupt_kills_and_reaps_the_children(cpus):
 
 
 # ------------------------------------------------------------------
-# the callers give the same bits at one and two CPUs
+# the callers give the same bits at one, two and three CPUs
 # ------------------------------------------------------------------
 
 def test_dominant_eigenvalue_same_bits_at_one_and_two_cpus(cpus):
@@ -189,9 +220,61 @@ def test_search_with_eigen_same_bits_at_one_and_two_cpus(cpus, tmp_path):
 
 def test_verify_report_same_bytes_at_one_and_two_cpus(cpus, tmp_path, capsys):
     reports = []
-    for k in (1, 2):
+    for k in (1, 2, 3):
         cpus(k)
         out = tmp_path / f"report{k}.json"
         assert cli.run_verify("all", str(out)) == cli.EXIT_OK
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def serial_gradient_checks(seed: int) -> list:
+    """The gradients suite's two checks for `seed`, in one serial pass
+    on one net: the reference the forked jobs are held to."""
+    net = cli._tiny_net(seed)
+    net.alpha.value = 0.3 * np.random.default_rng(seed + 50).standard_normal(
+        net.alpha.shape)
+    window = optim.make_window(net, cli._tiny_batches(seed + 100, 4))
+    zero = optim.SGDConfig(lr=0.0)
+    approx = optim.tse_unroll(net, window, zero).alpha_grad
+    _, exact = optim.exact_tse_gradient(net, window, zero)
+    err0 = float(np.max(np.abs(approx - exact)))
+    cfg = optim.SGDConfig(lr=0.05)
+    exact_h = optim.exact_hypergradient(net, window, cfg).ravel()
+    fd = oracles.fd_gradient(
+        lambda a: oracles.replay_final_loss(net, window, cfg, a),
+        net.alpha.value.ravel(), step=1e-5)
+    denom = max(float(np.max(np.abs(fd))), 1e-8)
+    err = float(np.max(np.abs(exact_h - fd)) / denom)
+    return [{"name": f"tse-grad-lr0-seed{seed}", "error": err0,
+             "tolerance": 1e-12, "pass": err0 < 1e-12},
+            {"name": f"exact-hypergrad-fd-seed{seed}", "error": err,
+             "tolerance": 1e-4, "pass": err < 1e-4}]
+
+
+@pytest.fixture(scope="module")
+def serial_gradient_suite():
+    return [c for seed in range(3) for c in serial_gradient_checks(seed)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gradient_suite_same_bits_as_a_serial_pass_per_seed(cpus, k, serial_gradient_suite):
+    cpus(k)
+    suite = cli._suite_gradients()
+    assert json.dumps(suite["checks"]) == json.dumps(serial_gradient_suite)
+    assert suite["pass"]
+    assert_no_child_left()
+
+
+def test_gradient_jobs_do_not_depend_on_their_order():
+    def results(order):
+        cases = [cli._gradient_case(seed) for seed in range(3)]
+        routes = ["lr0", "exact", *range(cases[0][0].alpha.value.size)]
+        jobs = [(*case, route) for case in cases for route in routes]
+        got = {i: cli._gradient_job(jobs[i]) for i in order(range(len(jobs)))}
+        return [got[i] for i in range(len(jobs))]
+
+    forward, backward = results(list), results(reversed)
+    assert len(forward) == 3 * 14
+    for a, b in zip(forward, backward):
+        assert np.array_equal(a, b)
