@@ -31,11 +31,20 @@ Timed cases, each a fixed net, alpha and batch:
   hypergradients and their central differences), in at most 16 pairs.
   Both trees spread it over the CPUs with `parallel.fork_map`, so the
   same care applies.  A `verify` pass in the benchmark also runs the
-  eigen and depth suites; this case times the gradients suite alone.
+  eigen and depth suites; this case times the gradients suite alone;
+- `window-vector`: one `optim.tse_unroll` of T = 25 batches on the
+  `vector` net, lr 0.05, as the tse-darts unroll of the frozen setting
+  takes, in at most 40 pairs;
+- `window-image`: the same with T = 10 batches on the `image` net.
+
+The single-step cases time one step on its own.  A tree that records a
+window's first step and replays it for the later batches (`ad.Plan`)
+shows the gain only in the window cases.
 
 For each case it first checks that both trees give the same numbers,
-bit for bit (the loss and gradients, the eigenvalue, or the suite's
-checks), and then times it in N alternating parent/change pairs, the
+bit for bit (the loss and gradients, the eigenvalue, the suite's
+checks, or a window's TSE, step losses, alpha-gradient and final
+weights), and then times it in N alternating parent/change pairs, the
 order flipping every pair.
 Interleaving keeps slow drift of the machine out of the comparison,
 which runs of a whole benchmark in separate processes do not.  But both
@@ -87,6 +96,7 @@ NETS = {
 WARMUP = 3
 EIGEN_BATCH = 512
 FORKED_PAIRS = 16   # the forked cases take ~0.3 s a step
+WINDOW_PAIRS = 40   # a window takes 25 (vector) or 10 (image) steps
 
 
 def load_tree(src: str, name: str):
@@ -127,6 +137,25 @@ def make_eigen(pkg):
     return lambda: (pkg.diagnostics.dominant_eigenvalue(closure, net.alpha.value), {})
 
 
+def make_window(pkg, net_name: str, steps: int):
+    """A no-argument `optim.tse_unroll` of `steps` fixed batches on a
+    fixed net, lr 0.05, from the same snapshot each time:
+    `((tse, *step losses), {alpha gradient and final weights})`."""
+    kw, size = NETS[net_name]
+    net, _, _ = make_net(pkg, kw, size)
+    rng = np.random.default_rng(9)
+    batches = [(rng.standard_normal((size,) + kw["in_shape"]),
+                rng.integers(0, kw["classes"], size=size)) for _ in range(steps)]
+    window = pkg.optim.make_window(net, batches)
+    cfg = pkg.optim.SGDConfig(lr=0.05)
+
+    def run():
+        res = pkg.optim.tse_unroll(net, window, cfg)
+        final = dict(net.snapshot(), alpha_grad=res.alpha_grad)
+        return (res.tse, *res.step_losses), final
+    return run
+
+
 def make_verify_gradients(pkg):
     """A no-argument `verify` gradients suite: `(checks, {})`."""
     cli = importlib.import_module(f"{pkg.__name__}.cli")
@@ -141,6 +170,8 @@ CASES = {
     "image": (lambda pkg: make_step(pkg, "image", "all"), None),
     "eigen-512": (make_eigen, FORKED_PAIRS),
     "verify-gradients": (make_verify_gradients, FORKED_PAIRS),
+    "window-vector": (lambda pkg: make_window(pkg, "vector", 25), WINDOW_PAIRS),
+    "window-image": (lambda pkg: make_window(pkg, "image", 10), WINDOW_PAIRS),
 }
 
 

@@ -51,6 +51,30 @@ keeps no patch rows: they hold 9x the entries of the input, so rather
 than store them from the forward pass to the sweep, its rule gathers them
 again for the weight's cotangent, which costs a copy and no arithmetic.
 
+A training step that runs many times on arrays of the same shapes can
+be recorded once and replayed (`record`, `Plan`).  Recording runs the
+step on `Var`s as usual, forward and detached sweep alike, and notes
+every value function a primitive calls (`np.add`, `_product`,
+`_patch_rows`, ...), with its operand slots and static operands, in
+order.  A constant derived from the step's leaves or inputs (the batch,
+the one-hot labels, the detached max-shifts of a softmax and of a
+log-sum-exp) is made by `derived`, so the plan computes and tests it
+again; only shape-fixed constants (a cotangent of ones, a zero gradient,
+a fixed matrix) are kept.  A replay runs the noted calls on the leaves'
+current values and new inputs, as one flat loop inside `trapped()`, with
+the entry tests of the leaves and of the derived constants where the
+recorded step made them, so it computes and checks the same values, bit
+for bit, and raises the same `NonFiniteError` at the same call.  Each
+slot is freed after its last use.  `optim._sgd_steps` records a
+window's first step and replays it for every later batch of the same
+shapes, recording again on a batch of other shapes.  A recording costs
+about two and a half steps, so routes that run each step once stay on
+`Var`s: graph-building sweeps, `hvp` and the eigen probes, a single
+`grad`, and the replay oracles, which so stay independent of the code
+they check.  A replayed step calls no primitive, `tape` or `backward`,
+so counts taken by wrapping those (perfbench's `--trace 1`) see only
+the recorded steps.
+
 Hessian-vector products are central differences of two detached
 gradients, accurate enough to assemble the dense architecture Hessian
 column by column; exact second derivatives come from differentiating
@@ -61,6 +85,8 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,6 +114,8 @@ _RECORDING = True
 _TRAPPED = False
 # numpy's one float64 dtype object, which float64 op results carry
 _F64 = np.dtype(np.float64)
+# The `Plan` being recorded, or None (see `record`).
+_PLAN = None
 
 
 @contextlib.contextmanager
@@ -115,6 +143,14 @@ def _raise_nonfinite(kind: str, flag: int):
     raise NonFiniteError(f"non-finite value from floating-point {kind}")
 
 
+def _test_finite(labels: tuple, *values):
+    """One test over all `values`; only a failure looks for the first
+    non-finite one, to name it by its entry of `labels`."""
+    if values and not all_finite(np.concatenate([v.ravel() for v in values])):
+        bad = next(k for k, v in zip(labels, values) if not all_finite(v))
+        raise NonFiniteError(f"non-finite value in {bad}")
+
+
 @contextlib.contextmanager
 def trapped(leaves):
     """Guard op results by numpy's floating-point flags, not a check each.
@@ -130,10 +166,10 @@ def trapped(leaves):
     """
     global _TRAPPED
     leaves = list(leaves)
-    # one test over all leaves; only a failure looks for the leaf to name
-    if leaves and not all_finite(np.concatenate([v.value.ravel() for v in leaves])):
-        bad = next(v for v in leaves if not all_finite(v.value))
-        raise NonFiniteError(f"non-finite value in {'leaf' if bad.name is None else bad.name}")
+    if _PLAN is not None:
+        _PLAN.test(leaves)
+    _test_finite(tuple('leaf' if v.name is None else v.name for v in leaves),
+                 *[v.value for v in leaves])
     prev, _TRAPPED = _TRAPPED, True
     try:
         with np.errstate(over="call", invalid="call", divide="call", under="ignore",
@@ -234,6 +270,14 @@ def param(x, name: str) -> Var:
     return Var(x, name=name)
 
 
+def derived(fn, *args) -> Var:
+    """The constant `fn(*args)`, where `args` are `Var`s (read by value),
+    the inputs of a step being recorded, or static operands: a detached
+    value that a plan computes again, and tests, on every replay."""
+    out = Var(fn(*[a.value if isinstance(a, Var) else a for a in args]))
+    return out if _PLAN is None else _PLAN.derived(out, fn, *args)
+
+
 # ------------------------------------------------------------------
 # primitives, each followed by its one VJP rule
 # ------------------------------------------------------------------
@@ -254,16 +298,22 @@ def _unbroadcast(g, shape: tuple):
     return g
 
 
+# Each primitive computes its value with one call, `fn(operands)`, and
+# a plan being recorded notes that call: `_PLAN.op(out, fn, operands)`.
+
 def add(a, b) -> Var:
     if not (isinstance(a, Var) and isinstance(b, Var)):
         if isinstance(b, _SCALAR):
             a = as_var(a)
-            return Var(a.value + b, (a,), _pass_vjp)
+            out = Var(a.value + b, (a,), _pass_vjp)
+            return out if _PLAN is None else _PLAN.op(out, operator.add, a, b)
         if isinstance(a, _SCALAR):
             b = as_var(b)
-            return Var(a + b.value, (b,), _pass_vjp)
+            out = Var(a + b.value, (b,), _pass_vjp)
+            return out if _PLAN is None else _PLAN.op(out, operator.add, a, b)
         a, b = as_var(a), as_var(b)
-    return Var(a.value + b.value, (a, b), _add_vjp)
+    out = Var(a.value + b.value, (a, b), _add_vjp)
+    return out if _PLAN is None else _PLAN.op(out, operator.add, a, b)
 
 
 def _add_vjp(g, out, a, b, need):
@@ -279,12 +329,15 @@ def sub(a, b) -> Var:
     if not (isinstance(a, Var) and isinstance(b, Var)):
         if isinstance(b, _SCALAR):
             a = as_var(a)
-            return Var(a.value - b, (a,), _pass_vjp)
+            out = Var(a.value - b, (a,), _pass_vjp)
+            return out if _PLAN is None else _PLAN.op(out, operator.sub, a, b)
         if isinstance(a, _SCALAR):
             b = as_var(b)
-            return Var(a - b.value, (b,), _neg_vjp)
+            out = Var(a - b.value, (b,), _neg_vjp)
+            return out if _PLAN is None else _PLAN.op(out, operator.sub, a, b)
         a, b = as_var(a), as_var(b)
-    return Var(a.value - b.value, (a, b), _sub_vjp)
+    out = Var(a.value - b.value, (a, b), _sub_vjp)
+    return out if _PLAN is None else _PLAN.op(out, operator.sub, a, b)
 
 
 def _sub_vjp(g, out, a, b, need):
@@ -296,12 +349,15 @@ def mul(a, b) -> Var:
     if not (isinstance(a, Var) and isinstance(b, Var)):
         if isinstance(b, _SCALAR):
             a = as_var(a)
-            return Var(a.value * b, (a,), lambda g, out, a: (mul(g, b),))
+            out = Var(a.value * b, (a,), lambda g, out, a: (mul(g, b),))
+            return out if _PLAN is None else _PLAN.op(out, operator.mul, a, b)
         if isinstance(a, _SCALAR):
             c, b = a, as_var(b)
-            return Var(c * b.value, (b,), lambda g, out, b: (mul(g, c),))
+            out = Var(c * b.value, (b,), lambda g, out, b: (mul(g, c),))
+            return out if _PLAN is None else _PLAN.op(out, operator.mul, c, b)
         a, b = as_var(a), as_var(b)
-    return Var(a.value * b.value, (a, b), _mul_vjp)
+    out = Var(a.value * b.value, (a, b), _mul_vjp)
+    return out if _PLAN is None else _PLAN.op(out, operator.mul, a, b)
 
 
 def _mul_vjp(g, out, a, b, need):
@@ -312,13 +368,15 @@ def _mul_vjp(g, out, a, b, need):
 def div(a, b) -> Var:
     if isinstance(b, _SCALAR):
         a = as_var(a)
-        return Var(a.value / b, (a,), lambda g, out, a: (div(g, b),))
+        out = Var(a.value / b, (a,), lambda g, out, a: (div(g, b),))
+        return out if _PLAN is None else _PLAN.op(out, operator.truediv, a, b)
     if isinstance(a, _SCALAR):
         c, b = a, as_var(b)
-        return Var(c / b.value, (b,),
-                   lambda g, out, b: (neg(div(mul(g, c), mul(b, b))),))
+        out = Var(c / b.value, (b,), lambda g, out, b: (neg(div(mul(g, c), mul(b, b))),))
+        return out if _PLAN is None else _PLAN.op(out, operator.truediv, c, b)
     a, b = as_var(a), as_var(b)
-    return Var(a.value / b.value, (a, b), _div_vjp)
+    out = Var(a.value / b.value, (a, b), _div_vjp)
+    return out if _PLAN is None else _PLAN.op(out, operator.truediv, a, b)
 
 
 def _div_vjp(g, out, a, b, need):
@@ -328,7 +386,8 @@ def _div_vjp(g, out, a, b, need):
 
 def neg(a) -> Var:
     a = as_var(a)
-    return Var(-a.value, (a,), _neg_vjp)
+    out = Var(-a.value, (a,), _neg_vjp)
+    return out if _PLAN is None else _PLAN.op(out, operator.neg, a)
 
 
 def _neg_vjp(g, out, a):
@@ -337,8 +396,8 @@ def _neg_vjp(g, out, a):
 
 def power(a, p: float) -> Var:
     a = as_var(a)
-    return Var(a.value ** p, (a,),
-               lambda g, out, a: (mul(g, mul(p, power(a, p - 1.0))),))
+    out = Var(a.value ** p, (a,), lambda g, out, a: (mul(g, mul(p, power(a, p - 1.0))),))
+    return out if _PLAN is None else _PLAN.op(out, operator.pow, a, p)
 
 
 def matmul(a, b) -> Var:
@@ -347,7 +406,8 @@ def matmul(a, b) -> Var:
         raise ShapeError("matmul expects 2-d operands")
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return Var(_product(a.value, b.value), (a, b), _matmul_vjp)
+    out = Var(_product(a.value, b.value), (a, b), _matmul_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _product, a, b)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -367,13 +427,14 @@ def _matmul_vjp(g, out, a, b, need):
 def transpose(a, axes=None) -> Var:
     a = as_var(a)
     inv = None if axes is None else tuple(np.argsort(axes))
-    return Var(np.transpose(a.value, axes), (a,),
-               lambda g, out, a: (transpose(g, inv),))
+    out = Var(a.value.transpose(axes), (a,), lambda g, out, a: (transpose(g, inv),))
+    return out if _PLAN is None else _PLAN.op(out, np.ndarray.transpose, a, axes)
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    return Var(a.value.reshape(shape), (a,), _reshape_vjp)
+    out = Var(a.value.reshape(shape), (a,), _reshape_vjp)
+    return out if _PLAN is None else _PLAN.op(out, np.ndarray.reshape, a, shape)
 
 
 def _reshape_vjp(g, out, a):
@@ -382,7 +443,8 @@ def _reshape_vjp(g, out, a):
 
 def vexp(a) -> Var:
     a = as_var(a)
-    return Var(np.exp(a.value), (a,), _vexp_vjp)
+    out = Var(np.exp(a.value), (a,), _vexp_vjp)
+    return out if _PLAN is None else _PLAN.op(out, np.exp, a)
 
 
 def _vexp_vjp(g, out, a):
@@ -391,7 +453,8 @@ def _vexp_vjp(g, out, a):
 
 def vlog(a) -> Var:
     a = as_var(a)
-    return Var(np.log(a.value), (a,), _vlog_vjp)
+    out = Var(np.log(a.value), (a,), _vlog_vjp)
+    return out if _PLAN is None else _PLAN.op(out, np.log, a)
 
 
 def _vlog_vjp(g, out, a):
@@ -400,7 +463,8 @@ def _vlog_vjp(g, out, a):
 
 def vtanh(a) -> Var:
     a = as_var(a)
-    return Var(np.tanh(a.value), (a,), _vtanh_vjp)
+    out = Var(np.tanh(a.value), (a,), _vtanh_vjp)
+    return out if _PLAN is None else _PLAN.op(out, np.tanh, a)
 
 
 def _vtanh_vjp(g, out, a):
@@ -418,30 +482,41 @@ def _spread(g, shape: tuple, axis, keepdims: bool):
 
 
 def vsum(a, axis=None, keepdims=False) -> Var:
-    # np.add.reduce is the reduction ndarray.sum runs, without its Python frame
+    # np.add.reduce is the reduction ndarray.sum runs, without its Python
+    # frame; its operands (array, axis, dtype, out, keepdims) by position
     a = as_var(a)
-    return Var(np.add.reduce(a.value, axis=axis, keepdims=keepdims), (a,),
-               lambda g, out, a: (_spread(g, a.shape, axis, keepdims),))
+    out = Var(np.add.reduce(a.value, axis, None, None, keepdims), (a,),
+              lambda g, out, a: (_spread(g, a.shape, axis, keepdims),))
+    if _PLAN is None:
+        return out
+    return _PLAN.op(out, np.add.reduce, a, axis, None, None, keepdims)
 
 
 def broadcast_to(a, shape) -> Var:
-    """Read-only broadcast view, built from strides (0 repeats an axis
-    of length 1) without numpy's Python-level `np.broadcast_to`: the same
-    view for a C-contiguous `a`, which any other `a` is copied to first.
-    The adjoint sums back to `a`'s shape."""
+    """Read-only broadcast view (see `_broadcast`); the adjoint sums back
+    to `a`'s shape."""
     a = as_var(a)
-    v = a.value if a.value.flags.c_contiguous else a.value.copy()
+    out = Var(_broadcast(a.value, shape), (a,), _broadcast_to_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _broadcast, a, shape)
+
+
+def _broadcast(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """`v` broadcast to `shape` as a read-only view, built from strides
+    (0 repeats an axis of length 1) without numpy's Python-level
+    `np.broadcast_to`: the same view for a C-contiguous `v`, which any
+    other `v` is copied to first."""
+    v = v if v.flags.c_contiguous else v.copy()
     lead = len(shape) - v.ndim
     if lead < 0:
-        raise ShapeError(f"cannot broadcast {a.shape} to {shape}")
+        raise ShapeError(f"cannot broadcast {v.shape} to {shape}")
     strides = [0] * lead
     for n, m, step in zip(v.shape, shape[lead:], v.strides):
         if n != m and n != 1:
-            raise ShapeError(f"cannot broadcast {a.shape} to {shape}")
+            raise ShapeError(f"cannot broadcast {v.shape} to {shape}")
         strides.append(step if n == m else 0)
     out = np.ndarray(shape, _F64, v, 0, tuple(strides))
     out.flags.writeable = False
-    return Var(out, (a,), _broadcast_to_vjp)
+    return out
 
 
 def _broadcast_to_vjp(g, out, a):
@@ -453,14 +528,20 @@ def vmean(a, axis=None, keepdims=False) -> Var:
     with n the count of entries averaged; its rule is that chain's."""
     a = as_var(a)
     n = float(a.value.size if axis is None else a.shape[axis])
-    return Var(np.add.reduce(a.value, axis=axis, keepdims=keepdims) / n, (a,),
-               lambda g, out, a: (_spread(div(g, n), a.shape, axis, keepdims),))
+    out = Var(_mean(a.value, axis, keepdims, n), (a,),
+              lambda g, out, a: (_spread(div(g, n), a.shape, axis, keepdims),))
+    return out if _PLAN is None else _PLAN.op(out, _mean, a, axis, keepdims, n)
+
+
+def _mean(v: np.ndarray, axis, keepdims: bool, n: float) -> np.ndarray:
+    return np.add.reduce(v, axis, None, None, keepdims) / n
 
 
 def vslice(a, key) -> Var:
     """Basic-index view; the adjoint scatters back into zeros."""
     a = as_var(a)
-    return Var(a.value[key], (a,), lambda g, out, a: (vscatter(g, key, a.shape),))
+    out = Var(a.value[key], (a,), lambda g, out, a: (vscatter(g, key, a.shape),))
+    return out if _PLAN is None else _PLAN.op(out, operator.getitem, a, key)
 
 
 def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
@@ -471,8 +552,9 @@ def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
 
 def vscatter(g, key, shape) -> Var:
     g = as_var(g)
-    return Var(_scatter_val(g.value, key, shape), (g,),
-               lambda gg, out, g: (vslice(gg, key),))
+    out = Var(_scatter_val(g.value, key, shape), (g,),
+              lambda gg, out, g: (vslice(gg, key),))
+    return out if _PLAN is None else _PLAN.op(out, _scatter_val, g, key, shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -510,7 +592,8 @@ def im2col3(a) -> Var:
     a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("im2col3 expects (n, c, h, w)")
-    return Var(_patch_rows(a.value), (a,), _im2col3_vjp)
+    out = Var(_patch_rows(a.value), (a,), _im2col3_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _patch_rows, a)
 
 
 def _im2col3_vjp(g, out, a):
@@ -518,18 +601,20 @@ def _im2col3_vjp(g, out, a):
 
 
 def col2im3(a, c: int, h: int, w: int) -> Var:
-    """Adjoint of `im2col3`: patch rows (n*h*w, 9c) -> (n, c, h, w).
-
-    Each row is added back into its window, offsets 0..8 in order.
-    """
+    """Adjoint of `im2col3`: patch rows (n*h*w, 9c) -> (n, c, h, w)."""
     a = as_var(a)
-    g = a.value.reshape(-1, h, w, c, 9)
+    out = Var(_patch_sum(a.value, c, h, w), (a,), _col2im3_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _patch_sum, a, c, h, w)
+
+
+def _patch_sum(v: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """Each patch row added back into its window, offsets 0..8 in order."""
+    g = v.reshape(-1, h, w, c, 9)
     acc = np.zeros((g.shape[0], h + 2, w + 2, c))
     for k in range(9):
         di, dj = divmod(k, 3)
         acc[:, di:di + h, dj:dj + w] += g[..., k]
-    interior = acc[:, 1:1 + h, 1:1 + w].transpose(0, 3, 1, 2)
-    return Var(np.ascontiguousarray(interior), (a,), _col2im3_vjp)
+    return np.ascontiguousarray(acc[:, 1:1 + h, 1:1 + w].transpose(0, 3, 1, 2))
 
 
 def _col2im3_vjp(g, out, a):
@@ -550,7 +635,12 @@ def conv3x3(x, w) -> Var:
         raise ShapeError("conv3x3 expects (n, c, h, w) and (9c, c_out)")
     if w.value.shape[0] != 9 * x.value.shape[1]:
         raise ShapeError(f"conv3x3 shape mismatch {x.shape} with {w.shape}")
-    return Var(_product(_patch_rows(x.value), w.value), (x, w), _conv3x3_vjp)
+    out = Var(_conv(x.value, w.value), (x, w), _conv3x3_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _conv, x, w)
+
+
+def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _product(_patch_rows(x), w)
 
 
 def _conv3x3_vjp(g, out, x, w, need):
@@ -559,27 +649,31 @@ def _conv3x3_vjp(g, out, x, w, need):
 
 
 def boxsum3(a) -> Var:
-    """Zero-padded 3x3 box sum of each channel: (n, c, h, w) -> same shape.
+    """Zero-padded 3x3 box sum of each channel: (n, c, h, w) -> same
+    shape (see `_box_sum`).  Linear with exact adjoint `boxspread3`."""
+    a = as_var(a)
+    if a.value.ndim != 4:
+        raise ShapeError("boxsum3 expects (n, c, h, w)")
+    out = Var(_box_sum(a.value), (a,), _boxsum3_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _box_sum, a)
 
-    A left fold of the 9 shifted windows in offset order k = 3*di + dj =
+
+def _box_sum(v: np.ndarray) -> np.ndarray:
+    """A left fold of the 9 shifted windows in offset order k = 3*di + dj =
     0..8; another order rounds differently.  Each plane is zero-padded
     and flattened row by row, with two spare zeros at the end, so that
     window k is one contiguous slice of h*(w+2) entries from
     di*(w+2) + dj; the two columns per row that wrap around are dropped.
-    Linear with exact adjoint `boxspread3`.
     """
-    a = as_var(a)
-    if a.value.ndim != 4:
-        raise ShapeError("boxsum3 expects (n, c, h, w)")
-    n, c, h, w = a.shape
+    n, c, h, w = v.shape
     r, m = w + 2, h * (w + 2)
     flat = np.zeros((n, c, (h + 2) * r + 2))
-    flat[:, :, :(h + 2) * r].reshape(n, c, h + 2, r)[:, :, 1:-1, 1:-1] = a.value
+    flat[:, :, :(h + 2) * r].reshape(n, c, h + 2, r)[:, :, 1:-1, 1:-1] = v
     out = flat[:, :, :m].copy()
     for k in range(1, 9):
         di, dj = divmod(k, 3)
         out += flat[:, :, di * r + dj:di * r + dj + m]
-    return Var(out.reshape(n, c, h, r)[..., :w], (a,), _boxsum3_vjp)
+    return out.reshape(n, c, h, r)[..., :w]
 
 
 def _boxsum3_vjp(g, out, a):
@@ -588,25 +682,28 @@ def _boxsum3_vjp(g, out, a):
 
 def boxspread3(a) -> Var:
     """Adjoint of `boxsum3`: adds each pixel into the 3x3 window around
-    it, offsets 0..8 in order, into zeros.
+    it, offsets 0..8 in order, into zeros (see `_box_spread`)."""
+    a = as_var(a)
+    out = Var(_box_spread(a.value), (a,), _boxspread3_vjp)
+    return out if _PLAN is None else _PLAN.op(out, _box_spread, a)
 
-    The flat slices of `boxsum3` in reverse: the rows, widened by two
+
+def _box_spread(v: np.ndarray) -> np.ndarray:
+    """The flat slices of `_box_sum` in reverse: the rows, widened by two
     zero columns, are added at offsets di*(w+2) + dj of a flat padded
     accumulator.  The zero columns add +0.0 where the window wraps, which
     changes no sum that starts from +0.0, since such a sum is never -0.0.
     """
-    a = as_var(a)
-    n, c, h, w = a.shape
+    n, c, h, w = v.shape
     r, m = w + 2, h * (w + 2)
     rows = np.zeros((n, c, h, r))
-    rows[..., :w] = a.value
+    rows[..., :w] = v
     rows = rows.reshape(n, c, m)
     acc = np.zeros((n, c, (h + 2) * r + 2))
     for k in range(9):
         di, dj = divmod(k, 3)
         acc[:, :, di * r + dj:di * r + dj + m] += rows
-    return Var(acc[:, :, r + 1:r + 1 + m].reshape(n, c, h, r)[..., :w],
-               (a,), _boxspread3_vjp)
+    return acc[:, :, r + 1:r + 1 + m].reshape(n, c, h, r)[..., :w]
 
 
 def _boxspread3_vjp(g, out, a):
@@ -715,6 +812,204 @@ def grad(output: Var, wrt: Sequence[Var], create_graph: bool = False) -> list:
 
 
 # ------------------------------------------------------------------
+# plans: a step recorded once, replayed as flat numpy calls
+# ------------------------------------------------------------------
+
+# The fixed value, while recording, of a slot that a call computes.
+_COMPUTED = object()
+# Arguments of a call with no operands, such as `type(None)()`, which
+# frees a slot by writing None into it.
+_NO_ARGS = operator.itemgetter(slice(0, 0))
+_FREE = type(None)
+
+
+def _getter(slots: list):
+    """Fetches `slots` from a slot list as a sequence, even just one."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    return operator.itemgetter(slice(slots[0], slots[0] + 1)) if slots else _NO_ARGS
+
+
+class Plan:
+    """The value functions that one run of a step called, in order, each
+    with its operand slots and its result slot.
+
+    Slots hold the leaves and inputs of the step, its constants (static
+    operands such as an axis or a scalar, and shape-fixed arrays such as
+    a cotangent of ones), and the values the calls compute.  `replay`
+    runs the calls again on the leaves' current values and new inputs of
+    the same shapes, inside `trapped()`, and returns the values of the
+    step's outputs.  A slot is freed after its last use: a call's result
+    takes the slot of an operand used there for the last time, and
+    other such slots get None.
+    """
+
+    def __init__(self, leaves: Sequence[Var], inputs: Sequence):
+        self.leaves = list(leaves)
+        # the places of the leaves and inputs in the slot list
+        self.places = list(range(1, 1 + len(self.leaves) + len(inputs)))
+        # While recording: slot 0 takes the results of tests, then come
+        # the leaves and the inputs.  `_init` holds each slot's fixed
+        # value, or `_COMPUTED`; `_fixed` the slots of inputs and static
+        # operands by identity (`_init` keeps those alive); `_slot` the
+        # slot of each live Var by identity (the entry leaves with the
+        # Var); `_untested` the leaves no `trapped()` region tested yet.
+        self._init = [None] * (1 + len(self.leaves)) + list(inputs)
+        self._fixed = {id(x): k for k, x in enumerate(inputs, 1 + len(self.leaves))}
+        self._slot = {}
+        for k, leaf in enumerate(self.leaves, 1):
+            self._bind(leaf, k)
+        self._untested = set(range(1, 1 + len(self.leaves)))
+        self._calls = []          # (fn, operand slots, result slot)
+
+    # -- recording -------------------------------------------------
+    def _bind(self, v: Var, k: int):
+        slots = self._slot
+        slots[id(v)] = (weakref.ref(v, lambda _, i=id(v): slots.pop(i, None)), k)
+
+    def _operand(self, a) -> int:
+        if isinstance(a, Var):
+            entry = self._slot.get(id(a))
+            if entry is not None:
+                return entry[1]
+            if a.name is not None:
+                raise AutodiffError(f"cannot record: {a.name} is not a leaf of the plan")
+            # a constant from outside the step, such as a cotangent of
+            # ones: kept, read-only, and finite as every Var value is
+            fixed = a.value.view()
+            fixed.flags.writeable = False
+            k = len(self._init)
+            self._init.append(fixed)
+            self._bind(a, k)
+            return k
+        k = self._fixed.get(id(a))
+        if k is None:
+            k = self._fixed[id(a)] = len(self._init)
+            self._init.append(a)
+        return k
+
+    def op(self, out: Var, fn, *args) -> Var:
+        """Note the call `fn(*args)` that computed `out`."""
+        k = len(self._init)
+        self._init.append(_COMPUTED)
+        self._calls.append((fn, [self._operand(a) for a in args], k))
+        if out.value.ndim == 0:
+            # a 0-d result may be a numpy scalar, which `Var` converts
+            raw, k = k, len(self._init)
+            self._init.append(_COMPUTED)
+            self._calls.append((np.asarray, [raw, self._operand(_F64)], k))
+        self._bind(out, k)
+        return out
+
+    def derived(self, out: Var, fn, *args) -> Var:
+        """Note a derived constant and its test, as `Var` makes it."""
+        self.op(out, fn, *args)
+        self._calls.append((functools.partial(_test_finite, ("node",)),
+                            [self._operand(out)], 0))
+        return out
+
+    def test(self, leaves: list):
+        """Note the entry test of a `trapped()` region over the leaves
+        that no region tested yet; any other Var that a region reads is a
+        value the plan computes or tests itself, or a kept constant."""
+        todo = [(k, v) for k, v in zip(map(self._operand, leaves), leaves)
+                if k in self._untested]
+        if todo:
+            labels = tuple('leaf' if v.name is None else v.name for _, v in todo)
+            self._calls.append(
+                (functools.partial(_test_finite, labels), [k for k, _ in todo], 0))
+            self._untested.difference_update(k for k, _ in todo)
+
+    def _finish(self, outs: list):
+        """Lay the calls out as the flat list `replay` runs: each slot
+        gets a place in the slot list, and each computed value is freed
+        after its last use.  The output slots `outs` are kept to the end."""
+        calls = self._calls
+        fixed = [k for k, v in enumerate(self._init) if v is not _COMPUTED]
+        place = dict(zip(fixed, range(len(fixed))))
+        init = [self._init[k] for k in fixed]
+        self._slot.clear()   # its entries' callbacks refer to it
+        del self._init, self._fixed, self._slot, self._untested, self._calls
+        # a backward pass finds each computed value's last use; fixed
+        # slots and outputs count as used later
+        live = set(fixed)
+        live.update(outs)
+        dying = []
+        for _, args, out in reversed(calls):
+            dead = []
+            for k in args:
+                if k not in live:
+                    live.add(k)
+                    dead.append(k)
+            dying.append((dead, out not in live))
+        # the forward pass takes each call, and its last uses, off the lists
+        calls.reverse()
+        spare, code = [], []
+        while calls:
+            fn, args, out = calls.pop()
+            dead, unused = dying.pop()
+            get = _getter([place[k] for k in args])
+            freed = [place.pop(k) for k in dead]
+            if out:
+                # the result takes the place of an operand used for the
+                # last time, else a freed place, else a new one
+                if freed:
+                    p = freed.pop()
+                elif spare:
+                    p = spare.pop()
+                else:
+                    p = len(init)
+                    init.append(None)
+                place[out] = p
+                if unused:
+                    freed.append(place.pop(out))
+            else:
+                p = 0
+            code.append((fn, get, p))
+            for q in freed:
+                code.append((_FREE, _NO_ARGS, q))
+            spare += freed
+        self.code, self.init = code, init
+        self.outputs = [place[k] for k in outs]
+
+    # -- replay ----------------------------------------------------
+    def replay(self, inputs: Sequence) -> list:
+        """The step's output values on the leaves' current values and
+        `inputs`, whose shapes must be those it was recorded with."""
+        s = self.init.copy()
+        for p, x in zip(self.places, [v.value for v in self.leaves] + list(inputs)):
+            s[p] = x
+        with trapped(()):
+            for fn, get, out in self.code:
+                s[out] = fn(*get(s))
+        return [s[p] for p in self.outputs]
+
+
+def record(step: Callable[[], list], leaves: Sequence[Var], inputs: Sequence) -> tuple:
+    """Run `step()`, which reads the `leaves` and the `inputs` and
+    returns a list of `Var`s, and record it: returns the `Plan` and the
+    values of the returned `Var`s.
+
+    The step must be a function of the leaves' values and the inputs
+    alone, built from this module's primitives; a constant it derives
+    from them is made by `derived`.  Recording keeps no `Var` alive, so
+    the step frees its arrays as it does unrecorded.
+    """
+    global _PLAN
+    if _PLAN is not None:
+        raise AutodiffError("a plan is already being recorded")
+    plan = _PLAN = Plan(leaves, inputs)
+    try:
+        out = step()
+    finally:
+        _PLAN = None
+    values, outs = [v.value for v in out], [plan._operand(v) for v in out]
+    del out   # the step's graph goes before its calls are laid out
+    plan._finish(outs)
+    return plan, values
+
+
+# ------------------------------------------------------------------
 # Hessian-vector product
 # ------------------------------------------------------------------
 
@@ -750,25 +1045,35 @@ def hvp(loss_closure: Callable[[np.ndarray], tuple], theta: np.ndarray,
 # composite helpers
 # ------------------------------------------------------------------
 
+def _row_max(v: np.ndarray) -> np.ndarray:
+    """Each row's max: the detached shift of a row-wise softmax."""
+    return v.max(axis=-1, keepdims=True)
+
+
 def softmax_rows(a: Var) -> Var:
     """Row-wise softmax of a 2-d Var (stable; shift is detached)."""
-    shift = const(a.value.max(axis=-1, keepdims=True))
+    shift = derived(_row_max, a)
     e = vexp(sub(a, shift))
     return div(e, vsum(e, axis=a.value.ndim - 1, keepdims=True))
 
 
-def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
-    """Mean cross-entropy of integer labels under softmax of logits,
-    computed inside its own `trapped()` region over the logits."""
-    b, k = logits.shape
+def _onehot(labels, b: int, k: int) -> np.ndarray:
+    """(b, k) one-hot rows of integer `labels`, each in [0, k)."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
         raise AutodiffError(f"label out of range [0, {k})")
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
+    return onehot
+
+
+def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
+    """Mean cross-entropy of integer labels under softmax of logits,
+    computed inside its own `trapped()` region over the logits."""
+    onehot = derived(_onehot, labels, *logits.shape)
     with trapped([logits]):
-        shift = const(logits.value.max(axis=1, keepdims=True))
+        shift = derived(_row_max, logits)
         z = sub(logits, shift)
         lse = add(vlog(vsum(vexp(z), axis=1, keepdims=True)), shift)
-        picked = vsum(mul(logits, const(onehot)), axis=1, keepdims=True)
+        picked = vsum(mul(logits, onehot), axis=1, keepdims=True)
         return vmean(sub(lse, picked))

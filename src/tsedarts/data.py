@@ -130,15 +130,6 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(feats, labels.astype(np.int64), max(classes, 2))
 
 
-def encode_idx_images(images: np.ndarray) -> bytes:
-    n, h, w = images.shape
-    return struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + images.astype(np.uint8).tobytes()
-
-
-def encode_idx_labels(labels: np.ndarray) -> bytes:
-    return struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + labels.astype(np.uint8).tobytes()
-
-
 def split(ds: Dataset, spec: SplitSpec):
     """Disjoint (train, val) via a seeded permutation; val is None when
     the val fraction is 0.  DataError when a part would be empty."""

@@ -80,14 +80,20 @@ class TSEResult:
     alpha_grad: np.ndarray
 
 
+def _step(net: Supernet, batch, wrt: list) -> list:
+    """One forward and one detached backward on `batch`: the loss and
+    the gradients of the named leaves `wrt`, as `Var`s."""
+    xb, yb = batch
+    loss = net.loss(net.forward(xb), yb)
+    return [loss] + ad.backward(ad.tape(loss), wrt=wrt)
+
+
 def loss_and_grads(net: Supernet, batch, wrt: list) -> tuple:
     """One forward and one detached backward on `batch`: the loss as a
     float and `{name: gradient array}` for the named leaves `wrt`.  Only
     arrays leave, so the step's graph is freed before a caller builds
     the next one."""
-    xb, yb = batch
-    loss = net.loss(net.forward(xb), yb)
-    grads = ad.backward(ad.tape(loss), wrt=wrt)
+    loss, *grads = _step(net, batch, wrt)
     return float(loss.value), {v.name: g.value for v, g in zip(wrt, grads)}
 
 
@@ -103,18 +109,37 @@ def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
         p.value = p.value - cfg.lr * g
 
 
-def _sgd_steps(net: Supernet, batches: list, wrt: list, cfg: SGDConfig):
-    """Plain SGD over `batches`, in order: per batch one forward, one
-    detached backward for the leaves `wrt` and one weight step, then
-    `(loss, grads)` is yielded.  A non-finite value at step t raises
+def _sgd_steps(net: Supernet, batches: list, wrt: list, cfg: SGDConfig) -> tuple:
+    """Plain SGD over `batches`, in order: per batch the loss and the
+    detached gradients of the leaves `wrt`, then one weight step.
+    Returns the step losses and the sum of alpha's gradients over the
+    steps (zeros when alpha is not in `wrt`).
+
+    The first batch's step (one forward, one detached backward) is
+    recorded into an `ad.Plan`, which every later batch of the same
+    shapes replays on the current weights, alpha and batch; a batch of
+    other shapes records again.  A non-finite value at step t raises
     `UnrollAbort(t)`."""
+    leaves = [net.alpha] + net.weight_vars()
+    names = [v.name for v in wrt]
+    losses, alpha_grad = [], np.zeros_like(net.alpha.value)
+    plan = shapes = None
     for t, batch in enumerate(batches):
         try:
-            loss, grads = loss_and_grads(net, batch, wrt)
+            if shapes == [np.shape(x) for x in batch]:
+                loss, *grads = plan.replay(batch)
+            else:
+                plan, (loss, *grads) = ad.record(lambda: _step(net, batch, wrt), leaves, batch)
+                shapes = [np.shape(x) for x in batch]
         except NonFiniteError as err:
             raise UnrollAbort(t, str(err)) from err
+        grads = dict(zip(names, grads))
         sgd_step(net.params, grads, cfg)
-        yield loss, grads
+        if net.alpha.name in grads:
+            alpha_grad += grads[net.alpha.name]
+        losses.append(float(loss))
+        del loss, grads   # no array of this step outlives it
+    return losses, alpha_grad
 
 
 class ArchOptimizer:
@@ -150,17 +175,15 @@ class ArchOptimizer:
 def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult:
     """Run the window's SGD steps from the snapshot, summing per-step
     losses into the TSE scalar and per-step direct alpha-gradients into
-    one accumulator (never cleared between steps).  One forward and one
-    backward per step; alpha itself is not modified."""
+    one accumulator (never cleared between steps).  The first step is
+    recorded, the rest replay it (see `_sgd_steps`); alpha itself is not
+    modified."""
     net.restore(window.w0)
+    step_losses, alpha_grad = _sgd_steps(
+        net, window.batches, net.weight_vars() + [net.alpha], cfg)
     tse = 0.0
-    step_losses = []
-    alpha_grad = np.zeros_like(net.alpha.value)
-    wrt = net.weight_vars() + [net.alpha]
-    for loss, grads in _sgd_steps(net, window.batches, wrt, cfg):
-        step_losses.append(loss)
+    for loss in step_losses:
         tse += loss
-        alpha_grad += grads[net.alpha.name]
     return TSEResult(tse, step_losses, alpha_grad)
 
 
@@ -184,8 +207,7 @@ def tse_darts_round(net: Supernet, window: UnrollWindow, w_cfg: SGDConfig,
         net.params[k].value.tobytes() == window.w0[k].tobytes()
         for k in window.w0)
     arch_opt.step(net.alpha, result.alpha_grad)
-    retrain_losses = [loss for loss, _ in _sgd_steps(
-        net, window.batches, net.weight_vars(), w_cfg)]
+    retrain_losses, _ = _sgd_steps(net, window.batches, net.weight_vars(), w_cfg)
     return RoundResult(result.tse, result.step_losses, retrain_losses,
                        result.alpha_grad, restore_exact)
 

@@ -29,7 +29,6 @@ one directory, as `params.bin` (a flat little-endian float64 blob) and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -164,12 +163,6 @@ class Supernet:
         for k, v in self.params.items():
             v.value = snap[k].copy()
 
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for k in sorted(self.params):
-            h.update(np.ascontiguousarray(self.params[k].value).tobytes())
-        return h.hexdigest()
-
     # -- forward passes --------------------------------------------
     def forward(self, batch: np.ndarray, alpha: Var | np.ndarray | None = None,
                 params: dict | None = None) -> Var:
@@ -225,11 +218,10 @@ class Supernet:
         return alpha
 
     def _stem(self, batch: np.ndarray, params: dict) -> Var:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.shape[1:] != self.config.in_shape:
+        if np.shape(batch)[1:] != self.config.in_shape:
             raise SupernetError(
-                f"batch shape {batch.shape[1:]} != {self.config.in_shape}")
-        x = ad.const(batch)
+                f"batch shape {np.shape(batch)[1:]} != {self.config.in_shape}")
+        x = ad.derived(np.asarray, batch, np.float64)
         if self.config.features == "vector":
             return ad.vtanh(x @ params["stem/W"] + params["stem/b"])
         return ad.vtanh(self._conv(x, params["stem/W"], params["stem/b"]))

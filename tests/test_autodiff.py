@@ -149,6 +149,45 @@ def test_shape_mismatch_rejected():
             ad.broadcast_to(a, shape)
 
 
+class TestPlan:
+    """A recorded step replays on new leaf values and inputs, bit for bit."""
+
+    @staticmethod
+    def step(w, v, inputs):
+        def run():
+            x, y = inputs
+            xv = ad.derived(np.asarray, x, np.float64)
+            with ad.trapped([w, v]):
+                loss = ad.cross_entropy(ad.vtanh(xv @ w) @ v, y)
+            return [loss] + ad.grad(loss, [w, v])
+        return run
+
+    def test_replay_equals_var_path(self):
+        rng = np.random.default_rng(5)
+        w = ad.param(rng.standard_normal((4, 3)), "w")
+        v = ad.param(rng.standard_normal((3, 2)), "v")
+        batches = [(rng.standard_normal((6, 4)), rng.integers(0, 2, size=6)) for _ in range(3)]
+        plan, _ = ad.record(self.step(w, v, batches[0]), [w, v], batches[0])
+        for batch in batches[1:]:
+            w.value = w.value + 0.1    # new leaf values, new inputs
+            got = plan.replay(batch)
+            want = [out.value for out in self.step(w, v, batch)()]
+            assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
+
+    def test_record_refuses_a_leaf_it_was_not_given(self):
+        rng = np.random.default_rng(6)
+        w = ad.param(rng.standard_normal((4, 3)), "w")
+        v = ad.param(rng.standard_normal((3, 2)), "v")
+        batch = (rng.standard_normal((6, 4)), rng.integers(0, 2, size=6))
+        with pytest.raises(ad.AutodiffError, match="v is not a leaf"):
+            ad.record(self.step(w, v, batch), [w], batch)
+
+    def test_record_does_not_nest(self):
+        x = ad.param(np.ones(2), "x")
+        with pytest.raises(ad.AutodiffError, match="already being recorded"):
+            ad.record(lambda: ad.record(lambda: [x * x], [x], ())[1], [x], ())
+
+
 class TestHvp:
     def _quad_closure(self, a):
         def closure(theta):

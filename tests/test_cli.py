@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tsedarts import cli, data
+from tsedarts import cli
+
+from helpers import encode_idx_images, encode_idx_labels
 
 
 def read_jsonl(path):
@@ -104,8 +106,8 @@ class TestDatasets:
     def _idx_files(self, tmp_path):
         images = tmp_path / "images.idx"
         labels = tmp_path / "labels.idx"
-        images.write_bytes(data.encode_idx_images(np.zeros((6, 4, 4))))
-        labels.write_bytes(data.encode_idx_labels(np.array([0, 1, 0, 1, 0, 1])))
+        images.write_bytes(encode_idx_images(np.zeros((6, 4, 4))))
+        labels.write_bytes(encode_idx_labels(np.array([0, 1, 0, 1, 0, 1])))
         return images, labels
 
     def test_wrong_arity_exit_code(self, tmp_path, capsys):

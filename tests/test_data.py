@@ -3,6 +3,8 @@ import pytest
 
 from tsedarts import data
 
+from helpers import encode_idx_images, encode_idx_labels
+
 
 class TestDataset:
     def test_rejects_empty(self):
@@ -62,8 +64,8 @@ class TestIdx:
         labels = np.array([0, 1, 2, 1], dtype=np.uint8)
         ip = tmp_path / "imgs.idx"
         lp = tmp_path / "lbls.idx"
-        ip.write_bytes(data.encode_idx_images(images))
-        lp.write_bytes(data.encode_idx_labels(labels))
+        ip.write_bytes(encode_idx_images(images))
+        lp.write_bytes(encode_idx_labels(labels))
         return ip, lp, images, labels
 
     def test_decode_matches_fixture(self, tmp_path):
@@ -78,12 +80,12 @@ class TestIdx:
         ip, lp, images, labels = self._fixture(tmp_path)
         ds = data.load_idx(str(ip), str(lp))
         re_imgs = (ds.features[:, 0] * 255.0).round().astype(np.uint8)
-        assert data.encode_idx_images(re_imgs) == ip.read_bytes()
-        assert data.encode_idx_labels(ds.labels) == lp.read_bytes()
+        assert encode_idx_images(re_imgs) == ip.read_bytes()
+        assert encode_idx_labels(ds.labels) == lp.read_bytes()
 
     def test_count_mismatch_rejected(self, tmp_path):
         ip, lp, images, labels = self._fixture(tmp_path)
-        lp.write_bytes(data.encode_idx_labels(labels[:3]))
+        lp.write_bytes(encode_idx_labels(labels[:3]))
         with pytest.raises(data.DataError, match="mismatch"):
             data.load_idx(str(ip), str(lp))
 

@@ -10,6 +10,8 @@ from tsedarts import supernet as sn
 from tsedarts.oracles import dense_dominant_eigenvalue
 from tsedarts.space import ArchEncoding, discretize
 
+from helpers import checksum
+
 
 def quad_closure(h):
     """Loss 0.5 * theta^T h theta as a closure over the flat vector."""
@@ -209,9 +211,9 @@ class TestSearchTrace:
         rng = np.random.default_rng(9)
         batch = (rng.standard_normal((8, 4)), rng.integers(0, 2, size=8))
         ds = data.synth_blobs(2, 4, 30, 0.3, seed=10)
-        before = (net.checksum(), net.alpha.value.tobytes())
+        before = (checksum(net), net.alpha.value.tobytes())
         self._record(net, 0, val_ds=ds, eigen_batches={"train": batch})
-        assert (net.checksum(), net.alpha.value.tobytes()) == before
+        assert (checksum(net), net.alpha.value.tobytes()) == before
 
     def test_fields_match_recomputation(self):
         net = make_net(seed=11)

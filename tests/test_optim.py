@@ -10,6 +10,8 @@ from tsedarts import supernet as sn
 from tsedarts.oracles import fd_gradient, replay_final_loss, replay_tse
 from tsedarts.space import CellTopology, OperationKind
 
+from helpers import checksum
+
 
 def tiny_net(seed=0, width=3, layers=1):
     cfg = sn.SupernetConfig(layers=layers, width=width, preset="s2-like",
@@ -26,10 +28,10 @@ def tiny_batches(seed, count, batch=6, dim=4, classes=2):
 class TestSgdStep:
     def test_zero_lr_no_change(self):
         net = tiny_net()
-        before = net.checksum()
+        before = checksum(net)
         grads = {k: np.ones_like(v.value) for k, v in net.params.items()}
         optim.sgd_step(net.params, grads, optim.SGDConfig(lr=0.0))
-        assert net.checksum() == before
+        assert checksum(net) == before
 
     def test_one_line_arithmetic(self):
         w = {"w": ad.param(np.array([1.0]), "w")}
@@ -150,7 +152,8 @@ class TestTseUnroll:
                          optim.SGDConfig(lr=0.05))
         assert np.array_equal(net.alpha.value, before)
 
-    def test_compute_contract_one_fwd_one_bwd_per_step(self, monkeypatch):
+    def test_compute_contract_one_recorded_step_then_replays(self, monkeypatch):
+        # one forward and one backward, recorded; each later step replays
         net = tiny_net()
         calls = []
 
@@ -162,9 +165,11 @@ class TestTseUnroll:
 
         monkeypatch.setattr(net, "forward", counted("fwd", net.forward))
         monkeypatch.setattr(ad, "backward", counted("bwd", ad.backward))
+        monkeypatch.setattr(ad, "record", counted("record", ad.record))
+        monkeypatch.setattr(ad.Plan, "replay", counted("replay", ad.Plan.replay))
         optim.tse_unroll(net, optim.make_window(net, tiny_batches(5, 4)),
                          optim.SGDConfig(lr=0.05))
-        assert calls == ["fwd", "bwd"] * 4
+        assert calls == ["record", "fwd", "bwd"] + ["replay"] * 3
 
     def test_abort_reports_step_index(self):
         net = tiny_net()
@@ -210,7 +215,7 @@ class TestTseDartsRound:
             for r in range(2):
                 window = optim.make_window(net, tiny_batches(20 + r, 3))
                 optim.tse_darts_round(net, window, w_cfg, arch)
-            outs.append((net.checksum(), net.alpha.value.tobytes()))
+            outs.append((checksum(net), net.alpha.value.tobytes()))
         assert outs[0] == outs[1]
 
 
@@ -218,12 +223,12 @@ class TestDartsFirstOrder:
     def test_round_updates_both_groups(self):
         net = tiny_net()
         (tb,), (vb,) = tiny_batches(11, 1), tiny_batches(12, 1)
-        w_before = net.checksum()
+        w_before = checksum(net)
         a_before = net.alpha.value.copy()
         arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(lr=1e-2))
         out = optim.darts_first_order_round(net, tb, vb,
                                             optim.SGDConfig(lr=0.05), arch)
-        assert net.checksum() != w_before
+        assert checksum(net) != w_before
         assert not np.array_equal(net.alpha.value, a_before)
         assert np.isfinite(out["train_loss"]) and np.isfinite(out["val_loss"])
 
@@ -246,7 +251,7 @@ class TestDartsFirstOrder:
         m, v = 0.5 * g, 0.001 * g * g
         m_hat, v_hat = m / (1 - 0.5), v / 0.001
         ref.alpha.value = ref.alpha.value - 0.5 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert net.checksum() == ref.checksum()
+        assert checksum(net) == checksum(ref)
         assert np.max(np.abs(net.alpha.value - ref.alpha.value)) < 1e-15
 
 
@@ -321,7 +326,6 @@ class TestGraphLifetime:
     """A step's forward graph is freed before the next step's is built."""
 
     RUNS = {
-        "tse_unroll": lambda net, window, cfg: optim.tse_unroll(net, window, cfg),
         "tse_darts_round": lambda net, window, cfg: optim.tse_darts_round(
             net, window, cfg, optim.ArchOptimizer(optim.ArchOptimizerConfig())),
         "darts_first_order_round": lambda net, window, cfg:
@@ -358,3 +362,178 @@ class TestGraphLifetime:
             gc.enable()
         assert len(alive) >= 2
         assert alive == [0] * len(alive)
+
+    STEPPED = {"tse_unroll": lambda net, window, cfg: optim.tse_unroll(net, window, cfg),
+               "tse_darts_round": RUNS["tse_darts_round"]}
+
+    @pytest.mark.parametrize("run", sorted(STEPPED))
+    def test_step_arrays_dead_when_next_step_starts(self, run, monkeypatch):
+        # every array a step computes, on the Var path when the step is
+        # recorded and by the plan's calls when it is replayed, is dead
+        # when the next step starts, its loss and gradients included
+        net = tiny_net(seed=21)
+        window = optim.make_window(net, tiny_batches(21, 3))
+        made, alive = [], []
+        init, record, replay = ad.Var.__init__, ad.record, ad.Plan.replay
+
+        def tracked_init(self, value, parents=(), vjp=None, name=None):
+            init(self, value, parents, vjp, name)
+            if parents:
+                made.append(weakref.ref(self.value))
+
+        def collected(fn):
+            def call(*args):
+                out = fn(*args)
+                # not an operand passed through, such as a float64 batch
+                if isinstance(out, np.ndarray) and not any(out is a for a in args):
+                    made.append(weakref.ref(out))
+                return out
+            return call
+
+        def tracked_record(*args):
+            alive.append(sum(r() is not None for r in made))
+            plan, values = record(*args)
+            plan.code = [(collected(fn), get, out) for fn, get, out in plan.code]
+            return plan, values
+
+        def tracked_replay(self, inputs):
+            alive.append(sum(r() is not None for r in made))
+            return replay(self, inputs)
+
+        monkeypatch.setattr(ad.Var, "__init__", tracked_init)
+        monkeypatch.setattr(ad, "record", tracked_record)
+        monkeypatch.setattr(ad.Plan, "replay", tracked_replay)
+        gc.disable()   # refcounting alone must free every array
+        try:
+            self.STEPPED[run](net, window, optim.SGDConfig(lr=0.05))
+        finally:
+            gc.enable()
+        assert made
+        assert alive == [0] * (3 if run == "tse_unroll" else 6)
+
+
+def frozen_net():
+    """The frozen criterion-8 net: s2-like, 8 layers, width 8."""
+    return sn.Supernet(sn.SupernetConfig(layers=8, width=8, preset="s2-like",
+                                         classes=4, in_shape=(16,), seed=0))
+
+
+def image_net():
+    """The nb201-like net on 1x8x8 images: 2 layers, width 4."""
+    return sn.Supernet(sn.SupernetConfig(layers=2, width=4, preset="nb201-like",
+                                         classes=4, in_shape=(1, 8, 8), seed=0))
+
+
+def window_batches(net, sizes, seed=40):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((n,) + net.config.in_shape), rng.integers(0, 4, size=n))
+            for n in sizes]
+
+
+def var_path_window(net, batches, wrt, cfg) -> list:
+    """The window on the Var path, stepped as `oracles._replay_losses`
+    steps: per batch `loss_and_grads` and `sgd_step`."""
+    steps = []
+    for batch in batches:
+        try:
+            loss, grads = optim.loss_and_grads(net, batch, wrt)
+        except ad.NonFiniteError as err:
+            steps.append(str(err))
+            break
+        optim.sgd_step(net.params, grads, cfg)
+        steps.append((loss, grads))
+    return steps
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestPlanReplay:
+    """A window that records its first step and replays the rest equals
+    the Var path step for step, bit for bit."""
+
+    NETS = {"frozen": frozen_net, "image": image_net}
+
+    @pytest.mark.parametrize("leaves", ["weights+alpha", "weights"])
+    @pytest.mark.parametrize("kind", sorted(NETS))
+    def test_replayed_window_equals_var_path(self, kind, leaves, monkeypatch):
+        nets = [self.NETS[kind]() for _ in range(2)]
+        for net in nets:   # alpha off zero, so the mixture weights differ
+            net.alpha.value = 0.3 * np.random.default_rng(41).standard_normal(net.alpha.shape)
+        batches = window_batches(nets[0], [32, 32, 32, 32, 20])
+        # each batch has other labels, so a one-hot kept from step 0 fails
+        assert not any(np.array_equal(a[1][:20], b[1][:20])
+                       for a, b in zip(batches, batches[1:]))
+        cfg = optim.SGDConfig(lr=0.05)
+        wrts = [net.weight_vars() + ([net.alpha] if leaves == "weights+alpha" else [])
+                for net in nets]
+        expected = var_path_window(nets[0], batches, wrts[0], cfg)
+
+        stepped, records = [], []
+        sgd_step, record = optim.sgd_step, ad.record
+
+        def kept_step(weights, grads, cfg):
+            stepped.append({k: g.copy() for k, g in grads.items()})
+            sgd_step(weights, grads, cfg)
+
+        def counted_record(*args):
+            records.append(len(stepped))
+            return record(*args)
+
+        monkeypatch.setattr(optim, "sgd_step", kept_step)
+        monkeypatch.setattr(ad, "record", counted_record)
+        losses, alpha_grad = optim._sgd_steps(nets[1], batches, wrts[1], cfg)
+
+        assert records == [0, 4]   # the short last batch records again
+        assert len(stepped) == len(expected) == 5
+        for (loss, grads), got_loss, got in zip(expected, losses, stepped):
+            assert bits(got_loss) == bits(loss)
+            assert list(got) == list(grads)
+            assert all(bits(got[k]) == bits(grads[k]) for k in grads)
+        for k in nets[0].params:
+            assert bits(nets[1].params[k].value) == bits(nets[0].params[k].value), k
+        total = np.zeros_like(nets[0].alpha.value)
+        for _, grads in expected:
+            if "alpha" in grads:
+                total += grads["alpha"]
+        assert bits(alpha_grad) == bits(total)
+
+    @staticmethod
+    def plant(kind, net, batches):
+        if kind == "weights-overflow":   # the head overflows once SGD moved it
+            net.params["head/W"].value.fill(1e300)
+        elif kind == "batch-nan":        # a NaN feature in step 2's batch
+            batches[2][0][1, 3] = np.nan
+        elif kind == "batch-overflow":   # step 2's stem products overflow
+            net.params["stem/W"].value.fill(1.0)
+            batches[2][0].fill(1e308)
+
+    @pytest.mark.parametrize("kind, step, message", [
+        ("weight-nan", 1, "non-finite value in stem/W"),
+        ("weights-overflow", 1, "non-finite value from floating-point overflow"),
+        ("batch-nan", 2, "non-finite value in node"),
+        ("batch-overflow", 2, "non-finite value from floating-point overflow"),
+    ])
+    def test_fault_at_replayed_step_aborts_as_var_path(self, kind, step, message,
+                                                       monkeypatch):
+        if kind == "weight-nan":         # every update leaves a NaN weight
+            sgd_step = optim.sgd_step
+
+            def poisoned(weights, grads, cfg):
+                sgd_step(weights, grads, cfg)
+                weights["stem/W"].value[0, 0] = np.nan
+            monkeypatch.setattr(optim, "sgd_step", poisoned)
+        cfg = optim.SGDConfig(lr=0.05)
+        runs = []
+        for _ in range(2):
+            net, batches = tiny_net(), tiny_batches(7, 4)
+            self.plant(kind, net, batches)
+            runs.append((net, batches))
+        (net, batches), (other, other_batches) = runs
+        expected = var_path_window(net, batches, net.weight_vars() + [net.alpha], cfg)
+        assert len(expected) == step + 1 and expected[-1] == message
+        with pytest.raises(optim.UnrollAbort) as err:
+            optim.tse_unroll(other, optim.UnrollWindow(other.snapshot(), other_batches), cfg)
+        assert err.value.step == step
+        assert err.value.args[1] == message

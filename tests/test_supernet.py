@@ -11,6 +11,8 @@ from tsedarts.oracles import fd_gradient
 from tsedarts.space import (AVGPOOL, LINEAR, SKIP, ZERO, ArchEncoding, CellTopology,
                             Genotype, OperationKind, discretize, make_space)
 
+from helpers import checksum
+
 
 def passthrough_net(ops, width=5, layers=1, seed=0, **kw):
     """Single-edge cell (0 -> 1) so node arithmetic is hand-checkable."""
@@ -34,10 +36,10 @@ class TestBuild:
 
     def test_same_seed_bit_identical(self):
         a, b = make_net(seed=5), make_net(seed=5)
-        assert a.checksum() == b.checksum()
+        assert checksum(a) == checksum(b)
 
     def test_different_seed_differs(self):
-        assert make_net(seed=5).checksum() != make_net(seed=6).checksum()
+        assert checksum(make_net(seed=5)) != checksum(make_net(seed=6))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(sn.SupernetError):
@@ -96,11 +98,11 @@ class TestForward:
         x = np.random.default_rng(3).standard_normal((4, 16))
         a1 = np.zeros((6, 2))
         a2 = np.random.default_rng(4).standard_normal((6, 2))
-        before = net.checksum()
+        before = checksum(net)
         o1 = net.forward(x, alpha=a1).value.copy()
         o2 = net.forward(x, alpha=a2).value.copy()
         o1_again = net.forward(x, alpha=a1).value
-        assert net.checksum() == before          # alpha never touches w
+        assert checksum(net) == before          # alpha never touches w
         assert np.array_equal(o1, o1_again)      # order-independent
         assert not np.array_equal(o1, o2)
 
@@ -281,12 +283,12 @@ class TestStateManagement:
     def test_snapshot_restore_checksum(self):
         net = make_net()
         snap = net.snapshot()
-        before = net.checksum()
+        before = checksum(net)
         for p in net.params.values():
             p.value = p.value + 1.0
-        assert net.checksum() != before
+        assert checksum(net) != before
         net.restore(snap)
-        assert net.checksum() == before
+        assert checksum(net) == before
 
     def test_checkpoint_round_trip(self, tmp_path):
         net = make_net(seed=13)
@@ -294,7 +296,7 @@ class TestStateManagement:
         sn.save_checkpoint(net, str(tmp_path))
         other = make_net(seed=99)
         sn.load_checkpoint(other, str(tmp_path))
-        assert other.checksum() == net.checksum()
+        assert checksum(other) == checksum(net)
         assert np.array_equal(other.alpha.value, net.alpha.value)
 
     def test_checkpoint_size_mismatch_rejected(self, tmp_path):
@@ -313,10 +315,10 @@ class TestStateManagement:
     def test_checkpoint_of_another_net_rejected(self, tmp_path, saved, loaded):
         sn.save_checkpoint(make_net(seed=1, **saved), str(tmp_path))
         net = make_net(seed=2, **loaded)
-        before, alpha = net.checksum(), net.alpha.value.copy()
+        before, alpha = checksum(net), net.alpha.value.copy()
         with pytest.raises(sn.SupernetError):
             sn.load_checkpoint(net, str(tmp_path))
-        assert net.checksum() == before
+        assert checksum(net) == before
         assert np.array_equal(net.alpha.value, alpha)
 
     # head/b follows the stem and every cell weight in the manifest, so
@@ -331,10 +333,10 @@ class TestStateManagement:
         entry["offset"] = manifest["total"] if offset == "total" else offset
         manifest_path.write_text(json.dumps(manifest))
         net = make_net(seed=2)
-        before, alpha = net.checksum(), net.alpha.value.copy()
+        before, alpha = checksum(net), net.alpha.value.copy()
         with pytest.raises(sn.SupernetError, match="head/b"):
             sn.load_checkpoint(net, str(tmp_path))
-        assert net.checksum() == before
+        assert checksum(net) == before
         assert np.array_equal(net.alpha.value, alpha)
 
 
