@@ -35,16 +35,24 @@ Timed cases, each a fixed net, alpha and batch:
 - `window-vector`: one `optim.tse_unroll` of T = 25 batches on the
   `vector` net, lr 0.05, as the tse-darts unroll of the frozen setting
   takes, in at most 40 pairs;
-- `window-image`: the same with T = 10 batches on the `image` net.
+- `window-image`: the same with T = 10 batches on the `image` net;
+- `window-t1`: the same with T = 1 batch on the `vector` net, a window
+  whose one step no later step replays.  A tree that runs such a step
+  on `Var`s should read about its `vector` case plus one SGD update;
+- `darts-epoch`: one darts-1st epoch of 25 train and 25 validation
+  batches on the `vector` net (`optim.darts_first_order_round`, lr 0.05,
+  arch lr 3e-3), as the `darts-vector-eigen` benchmark runs it, in at
+  most 40 pairs.
 
 The single-step cases time one step on its own.  A tree that records a
-window's first step and replays it for the later batches (`ad.Plan`)
-shows the gain only in the window cases.
+step and replays it for the later batches of the same shapes (`ad.Plan`)
+shows the gain in the window and epoch cases, and in `eigen-512`, whose
+24 alpha-gradients run on one batch.
 
 For each case it first checks that both trees give the same numbers,
 bit for bit (the loss and gradients, the eigenvalue, the suite's
-checks, or a window's TSE, step losses, alpha-gradient and final
-weights), and then times it in N alternating parent/change pairs, the
+checks, a window's TSE, step losses, alpha-gradient and final
+weights, or an epoch's step losses, final weights and alpha), and then times it in N alternating parent/change pairs, the
 order flipping every pair.
 Interleaving keeps slow drift of the machine out of the comparison,
 which runs of a whole benchmark in separate processes do not.  But both
@@ -76,6 +84,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import sys
@@ -131,10 +140,23 @@ def make_step(pkg, net_name: str, leaves: str):
 
 def make_eigen(pkg):
     """A no-argument dominant alpha-Hessian eigenvalue of the `vector`
-    net on a batch of `EIGEN_BATCH`: `(eigenvalue, {})`."""
+    net on a batch of `EIGEN_BATCH`: `(eigenvalue, {})`.  A tree whose
+    estimate takes a gradient function (`diagnostics.alpha_gradient`)
+    gets a new one per call, as `record_epoch` makes one per estimate; an
+    older tree takes a loss closure (`alpha_loss_closure`)."""
+    dg = pkg.diagnostics
     net, x, y = make_net(pkg, NETS["vector"][0], EIGEN_BATCH)
-    closure = pkg.diagnostics.alpha_loss_closure(net, (x, y))
-    return lambda: (pkg.diagnostics.dominant_eigenvalue(closure, net.alpha.value), {})
+    if hasattr(dg, "alpha_gradient"):
+        return lambda: (dg.dominant_eigenvalue(dg.alpha_gradient(net, (x, y)),
+                                               net.alpha.value), {})
+    closure = dg.alpha_loss_closure(net, (x, y))
+    return lambda: (dg.dominant_eigenvalue(closure, net.alpha.value), {})
+
+
+def fixed_batches(kw: dict, size: int, steps: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((size,) + kw["in_shape"]),
+             rng.integers(0, kw["classes"], size=size)) for _ in range(steps)]
 
 
 def make_window(pkg, net_name: str, steps: int):
@@ -143,16 +165,42 @@ def make_window(pkg, net_name: str, steps: int):
     `((tse, *step losses), {alpha gradient and final weights})`."""
     kw, size = NETS[net_name]
     net, _, _ = make_net(pkg, kw, size)
-    rng = np.random.default_rng(9)
-    batches = [(rng.standard_normal((size,) + kw["in_shape"]),
-                rng.integers(0, kw["classes"], size=size)) for _ in range(steps)]
-    window = pkg.optim.make_window(net, batches)
+    window = pkg.optim.make_window(net, fixed_batches(kw, size, steps, 9))
     cfg = pkg.optim.SGDConfig(lr=0.05)
 
     def run():
         res = pkg.optim.tse_unroll(net, window, cfg)
         final = dict(net.snapshot(), alpha_grad=res.alpha_grad)
         return (res.tse, *res.step_losses), final
+    return run
+
+
+def make_darts_epoch(pkg, steps: int = 25):
+    """A no-argument darts-1st epoch of `steps` train and validation
+    batches on the `vector` net, lr 0.05 and arch lr 3e-3, from the same
+    weights, alpha and a fresh `ArchOptimizer` each time:
+    `((train losses, validation losses), {final weights and alpha})`.
+    A tree whose `optim.darts_first_order_round` takes one batch per
+    step runs it once per pair of batches."""
+    optim = pkg.optim
+    kw, size = NETS["vector"]
+    net, _, _ = make_net(pkg, kw, size)
+    w0, alpha0 = net.snapshot(), net.alpha.value.copy()
+    train, val = fixed_batches(kw, size, steps, 10), fixed_batches(kw, size, steps, 11)
+    cfg = optim.SGDConfig(lr=0.05)
+    per_epoch = "train_batches" in inspect.signature(optim.darts_first_order_round).parameters
+
+    def run():
+        net.restore(w0)
+        net.alpha.value = alpha0.copy()
+        arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(lr=3e-3))
+        if per_epoch:
+            losses = optim.darts_first_order_round(net, train, val, cfg, arch)
+        else:
+            out = [optim.darts_first_order_round(net, tb, vb, cfg, arch)
+                     for tb, vb in zip(train, val)]
+            losses = ([s["train_loss"] for s in out], [s["val_loss"] for s in out])
+        return tuple(map(tuple, losses)), dict(net.snapshot(), alpha=net.alpha.value)
     return run
 
 
@@ -172,6 +220,8 @@ CASES = {
     "verify-gradients": (make_verify_gradients, FORKED_PAIRS),
     "window-vector": (lambda pkg: make_window(pkg, "vector", 25), WINDOW_PAIRS),
     "window-image": (lambda pkg: make_window(pkg, "image", 10), WINDOW_PAIRS),
+    "window-t1": (lambda pkg: make_window(pkg, "vector", 1), None),
+    "darts-epoch": (make_darts_epoch, WINDOW_PAIRS),
 }
 
 

@@ -65,20 +65,28 @@ current values and new inputs, as one flat loop inside `trapped()`, with
 the entry tests of the leaves and of the derived constants where the
 recorded step made them, so it computes and checks the same values, bit
 for bit, and raises the same `NonFiniteError` at the same call.  Each
-slot is freed after its last use.  `optim._sgd_steps` records a
-window's first step and replays it for every later batch of the same
-shapes, recording again on a batch of other shapes.  A recording costs
-about two and a half steps, so routes that run each step once stay on
-`Var`s: graph-building sweeps, `hvp` and the eigen probes, a single
-`grad`, and the replay oracles, which so stay independent of the code
-they check.  A replayed step calls no primitive, `tape` or `backward`,
-so counts taken by wrapping those (perfbench's `--trace 1`) see only
-the recorded steps.
+slot is freed after its last use.
+
+`planned(step, leaves)` holds the plan of a step that a round or an
+estimate runs many times: a call on inputs of the shapes of its last
+recording replays it, and any other call records it, or runs it on
+`Var`s when no later call will replay it, since a recording costs about
+two and a half steps.  Three routes run through it: the SGD steps of a
+tse-darts window and of its retrain (`optim._sgd_steps`), the train and
+validation steps of a darts-1st epoch (`optim.darts_first_order_round`),
+and the 2n alpha-gradients of one eigenvalue estimate
+(`diagnostics.alpha_gradient`, recorded once in each process that
+computes Hessian columns).  Graph-building sweeps, a single `grad` and
+the replay oracles stay on `Var`s, so the oracles stay independent of
+the code they check.  A replayed step calls no primitive, `tape` or
+`backward`, so counts taken by wrapping those (perfbench's
+`--trace 1`) see only the recorded steps.
 
 Hessian-vector products are central differences of two detached
-gradients, accurate enough to assemble the dense architecture Hessian
-column by column; exact second derivatives come from differentiating
-a graph-building sweep, as the exact unrolled hypergradients do.
+gradients, given as a gradient function, accurate enough to assemble
+the dense architecture Hessian column by column; exact second
+derivatives come from differentiating a graph-building sweep, as the
+exact unrolled hypergradients do.
 """
 
 from __future__ import annotations
@@ -1009,18 +1017,46 @@ def record(step: Callable[[], list], leaves: Sequence[Var], inputs: Sequence) ->
     return plan, values
 
 
+def planned(step: Callable[..., list], leaves: Sequence[Var]) -> Callable[..., list]:
+    """`run(*inputs, again=True)`: the values of the `Var`s that
+    `step(*inputs)` returns, a step over the `leaves` as `record` takes it.
+
+    A call on inputs of the shapes of the last recording replays its plan
+    on the leaves' current values and the new inputs.  Any other call
+    records a new plan when `again` says that a later call will pass
+    inputs of these shapes, and otherwise runs the step on `Var`s: a
+    recording costs about two and a half steps, which only replays pay
+    back.  Each way gives the same values, tests and `NonFiniteError`,
+    bit for bit.  The plan lives as long as `run`.
+    """
+    plan = shapes = None
+
+    def run(*inputs, again: bool = True) -> list:
+        nonlocal plan, shapes
+        key = [np.shape(x) for x in inputs]
+        if key == shapes:
+            return plan.replay(inputs)
+        if not again:
+            return [v.value for v in step(*inputs)]
+        plan, values = record(lambda: step(*inputs), leaves, inputs)
+        shapes = key
+        return values
+
+    return run
+
+
 # ------------------------------------------------------------------
 # Hessian-vector product
 # ------------------------------------------------------------------
 
-def hvp(loss_closure: Callable[[np.ndarray], tuple], theta: np.ndarray,
+def hvp(gradient: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
         direction: np.ndarray) -> np.ndarray:
     """Central-difference Hessian-vector product.
 
-    `loss_closure(theta_flat)` must rebuild the loss and return
-    `(loss Var, leaf Var)` where the leaf holds theta.  Returns
-    (grad(theta + eps v) - grad(theta - eps v)) / (2 eps), flat, with
-    eps = 1e-4 (1 + max |theta|).
+    `gradient(theta_flat)` is the flat gradient of a loss at `theta_flat`
+    (`diagnostics.alpha_gradient`, or a function that builds the loss and
+    calls `grad`).  Returns (gradient(theta + eps v) - gradient(theta -
+    eps v)) / (2 eps), with eps = 1e-4 (1 + max |theta|).
     """
     theta = np.asarray(theta, dtype=np.float64).ravel()
     v = np.asarray(direction, dtype=np.float64).ravel()
@@ -1029,13 +1065,7 @@ def hvp(loss_closure: Callable[[np.ndarray], tuple], theta: np.ndarray,
     if v.size == 0:
         raise ShapeError("zero-length direction")
     eps = 1e-4 * (1.0 + float(np.max(np.abs(theta))))
-
-    def g(at: np.ndarray) -> np.ndarray:
-        loss, leaf = loss_closure(at)
-        (gv,) = grad(loss, wrt=[leaf])
-        return gv.value.ravel()
-
-    out = (g(theta + eps * v) - g(theta - eps * v)) / (2.0 * eps)
+    out = (gradient(theta + eps * v) - gradient(theta - eps * v)) / (2.0 * eps)
     if not all_finite(out):
         raise NonFiniteError("non-finite Hessian-vector product")
     return out

@@ -226,12 +226,11 @@ def run_search(config: RunConfig) -> int:
                     tse_value = result.tse
                     train_loss = float(np.mean(result.retrain_losses))
                 else:
-                    losses = []
-                    for _ in range(t_steps):
-                        step = optim.darts_first_order_round(
-                            net, next(train_stream), next(val_stream),
-                            w_cfg, arch_opt)
-                        losses.append(step["train_loss"])
+                    # the two streams are independent, so drawing each
+                    # epoch's batches up front draws the same batches
+                    losses, _ = optim.darts_first_order_round(
+                        net, [next(train_stream) for _ in range(t_steps)],
+                        [next(val_stream) for _ in range(t_steps)], w_cfg, arch_opt)
                     tse_value = None
                     train_loss = float(np.mean(losses))
                 diag.record_epoch(
@@ -337,12 +336,12 @@ def _suite_gradients() -> dict:
 def _eigen_check(case) -> dict:
     i, a = case
 
-    def closure(theta):
+    def gradient(theta):   # on Vars: the check stays apart from the plans
         leaf = ad.param(theta.reshape(1, -1), name="theta")
-        quad = ad.vsum((leaf @ ad.const(a)) * leaf) * 0.5
-        return quad, leaf
+        (g,) = ad.grad(ad.vsum((leaf @ ad.const(a)) * leaf) * 0.5, [leaf])
+        return g.value.ravel()
 
-    est = diag.dominant_eigenvalue(closure, np.zeros(len(a)))
+    est = diag.dominant_eigenvalue(gradient, np.zeros(len(a)))
     ref = oracles.dense_dominant_eigenvalue(
         lambda th: 0.5 * float(th @ a @ th), np.zeros(len(a)))
     err = float(abs(est - ref) / max(abs(ref), 1e-12))

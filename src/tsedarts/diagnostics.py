@@ -1,8 +1,8 @@
 """Per-epoch search diagnostics.
 
 Dominant eigenvalue of the loss Hessian w.r.t. the architecture logits
-(dense Hessian from finite-difference Hessian-vector products, its
-columns spread over the CPUs),
+(dense Hessian from finite-difference Hessian-vector products of a
+replayed alpha-gradient, its columns spread over the CPUs),
 skip-connection counts, cell depth and validation accuracy (in
 balanced chunks of at most `VAL_CHUNK` = 256 samples), gathered once
 per epoch into a runlog record (a plain dict) that SearchTrace
@@ -27,20 +27,20 @@ class DiagnosticsError(ValueError):
     pass
 
 
-def dominant_eigenvalue(loss_closure, alpha0: np.ndarray) -> float:
+def dominant_eigenvalue(gradient, alpha0: np.ndarray) -> float:
     """Eigenvalue of largest magnitude of the dense alpha-Hessian.
 
-    `loss_closure(alpha_flat)` rebuilds the loss at the given logits and
-    returns (loss Var, leaf Var).  One Hessian-vector product along each
-    basis vector gives the n columns, and the symmetrised matrix is
-    decomposed exactly: n products in all, for the 12 (s2-like) or 24
-    (nb201-like) entries of alpha.  The columns are independent, so
-    `parallel.fork_map` computes them side by side, one process per CPU,
-    with the same numbers as one by one.  A Hessian of norm below 1e-10
-    reads 0.0.
+    `gradient(alpha_flat)` is the flat gradient of the loss at the given
+    logits, such as `alpha_gradient` makes.  One Hessian-vector product
+    along each basis vector gives the n columns, and the symmetrised
+    matrix is decomposed exactly: n products in all, 2n gradients, for
+    the 12 (s2-like) or 24 (nb201-like) entries of alpha.  The columns
+    are independent, so `parallel.fork_map` computes them side by side,
+    one process per CPU, with the same numbers as one by one.  A Hessian
+    of norm below 1e-10 reads 0.0.
     """
     theta = np.asarray(alpha0, dtype=np.float64).ravel()
-    h = np.stack(fork_map(lambda e: ad.hvp(loss_closure, theta, e),
+    h = np.stack(fork_map(lambda e: ad.hvp(gradient, theta, e),
                           np.eye(theta.size)), axis=1)
     h = 0.5 * (h + h.T)
     if np.linalg.norm(h) < 1e-10:
@@ -49,17 +49,27 @@ def dominant_eigenvalue(loss_closure, alpha0: np.ndarray) -> float:
     return float(evals[int(np.argmax(np.abs(evals)))])
 
 
-def alpha_loss_closure(net: Supernet, batch):
-    """Loss on a fixed batch as a function of the flat alpha logits."""
-    xb, yb = batch
-    shape = net.alpha.shape
+def alpha_gradient(net: Supernet, batch):
+    """The gradient of the loss on a fixed batch at given alpha logits,
+    as a function of the flat logits, for `dominant_eigenvalue`.
 
-    def closure(theta: np.ndarray):
-        leaf = ad.param(theta.reshape(shape), name="alpha_probe")
-        loss = net.loss(net.forward(xb, alpha=leaf), yb)
-        return loss, leaf
+    Each call sets one probe leaf to the logits and takes the loss and
+    its detached gradient over the probe alone, at the net's weights.
+    That step runs on one batch at every call, so the first call in each
+    process records it (see `ad.planned`) and the rest replay it, bit for
+    bit as on `Var`s.
+    """
+    probe = ad.param(np.zeros(net.alpha.shape), name="alpha_probe")
+    run = ad.planned(
+        lambda xb, yb: ad.grad(net.loss(net.forward(xb, alpha=probe), yb), [probe]),
+        [probe] + net.weight_vars())
 
-    return closure
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        probe.value = theta.reshape(probe.shape)
+        (g,) = run(*batch)
+        return g.ravel()
+
+    return gradient
 
 
 VAL_CHUNK = 256
@@ -136,8 +146,7 @@ def record_epoch(trace: SearchTrace, net: Supernet, epoch: int, *,
     for source, batch in (eigen_batches or {}).items():
         if source not in eig:
             raise DiagnosticsError(f"unknown eigenvalue loss source {source!r}")
-        eig[source] = dominant_eigenvalue(alpha_loss_closure(net, batch),
-                                          net.alpha.value)
+        eig[source] = dominant_eigenvalue(alpha_gradient(net, batch), net.alpha.value)
     trace.append({
         "epoch": epoch, "tse": tse, "train_loss": train_loss, "val_acc": val_acc,
         "skip_count": skip_count(genotype),

@@ -109,28 +109,37 @@ def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
         p.value = p.value - cfg.lr * g
 
 
+def _recurring(batches: list) -> list:
+    """Per batch, whether a later batch of the list has the same shapes:
+    only then does recording its step pay (see `ad.planned`)."""
+    shapes = [[np.shape(x) for x in batch] for batch in batches]
+    return [s in shapes[t + 1:] for t, s in enumerate(shapes)]
+
+
+def _planned_step(net: Supernet, wrt: list):
+    """`_step` over the gradients of `wrt`, as an `ad.planned` run over
+    every leaf of the net: `run(features, labels, again=...)`."""
+    return ad.planned(lambda xb, yb: _step(net, (xb, yb), wrt),
+                      [net.alpha] + net.weight_vars())
+
+
 def _sgd_steps(net: Supernet, batches: list, wrt: list, cfg: SGDConfig) -> tuple:
     """Plain SGD over `batches`, in order: per batch the loss and the
     detached gradients of the leaves `wrt`, then one weight step.
     Returns the step losses and the sum of alpha's gradients over the
     steps (zeros when alpha is not in `wrt`).
 
-    The first batch's step (one forward, one detached backward) is
-    recorded into an `ad.Plan`, which every later batch of the same
-    shapes replays on the current weights, alpha and batch; a batch of
-    other shapes records again.  A non-finite value at step t raises
+    A step is recorded into an `ad.Plan` when a later batch has its
+    shapes, and every later batch of those shapes replays the plan on
+    the current weights, alpha and batch; any other step runs on `Var`s
+    (see `ad.planned`).  A non-finite value at step t raises
     `UnrollAbort(t)`."""
-    leaves = [net.alpha] + net.weight_vars()
+    run = _planned_step(net, wrt)
     names = [v.name for v in wrt]
     losses, alpha_grad = [], np.zeros_like(net.alpha.value)
-    plan = shapes = None
-    for t, batch in enumerate(batches):
+    for t, (batch, again) in enumerate(zip(batches, _recurring(batches))):
         try:
-            if shapes == [np.shape(x) for x in batch]:
-                loss, *grads = plan.replay(batch)
-            else:
-                plan, (loss, *grads) = ad.record(lambda: _step(net, batch, wrt), leaves, batch)
-                shapes = [np.shape(x) for x in batch]
+            loss, *grads = run(*batch, again=again)
         except NonFiniteError as err:
             raise UnrollAbort(t, str(err)) from err
         grads = dict(zip(names, grads))
@@ -175,8 +184,8 @@ class ArchOptimizer:
 def tse_unroll(net: Supernet, window: UnrollWindow, cfg: SGDConfig) -> TSEResult:
     """Run the window's SGD steps from the snapshot, summing per-step
     losses into the TSE scalar and per-step direct alpha-gradients into
-    one accumulator (never cleared between steps).  The first step is
-    recorded, the rest replay it (see `_sgd_steps`); alpha itself is not
+    one accumulator (never cleared between steps).  The steps are
+    recorded and replayed as `_sgd_steps` runs them; alpha itself is not
     modified."""
     net.restore(window.w0)
     step_losses, alpha_grad = _sgd_steps(
@@ -212,17 +221,33 @@ def tse_darts_round(net: Supernet, window: UnrollWindow, w_cfg: SGDConfig,
                        result.alpha_grad, restore_exact)
 
 
-def darts_first_order_round(net: Supernet, train_batch, val_batch,
-                            w_cfg: SGDConfig, arch_opt: ArchOptimizer) -> dict:
-    """One first-order baseline step: SGD on the train loss, then an
-    alpha step on the direct validation-loss gradient at the current
-    weights (w* approximated by w)."""
-    loss_t, grads = loss_and_grads(net, train_batch, net.weight_vars())
-    sgd_step(net.params, grads, w_cfg)
+def darts_first_order_round(net: Supernet, train_batches: list, val_batches: list,
+                            w_cfg: SGDConfig, arch_opt: ArchOptimizer) -> tuple:
+    """One epoch of the first-order baseline, a step per pair of batches:
+    SGD on the train loss, then an alpha step on the direct
+    validation-loss gradient at the current weights (w* approximated by
+    w).  Returns the step losses, `(train_losses, val_losses)`.
 
-    loss_v, grads = loss_and_grads(net, val_batch, [net.alpha])
-    arch_opt.step(net.alpha, grads[net.alpha.name])
-    return {"train_loss": loss_t, "val_loss": loss_v}
+    The weights-only train step and the alpha-only validation step each
+    keep a plan, recorded and replayed as `_sgd_steps` does."""
+    if len(train_batches) != len(val_batches):
+        raise OptimError(f"{len(train_batches)} train batches but "
+                         f"{len(val_batches)} validation batches")
+    wrt = net.weight_vars()
+    names = [v.name for v in wrt]
+    train, val = _planned_step(net, wrt), _planned_step(net, [net.alpha])
+    train_losses, val_losses = [], []
+    for tb, t_again, vb, v_again in zip(train_batches, _recurring(train_batches),
+                                        val_batches, _recurring(val_batches)):
+        loss, *grads = train(*tb, again=t_again)
+        sgd_step(net.params, dict(zip(names, grads)), w_cfg)
+        train_losses.append(float(loss))
+        del loss, grads   # no array of this step outlives it
+        loss, grad = val(*vb, again=v_again)
+        arch_opt.step(net.alpha, grad)
+        val_losses.append(float(loss))
+        del loss, grad
+    return train_losses, val_losses
 
 
 # ------------------------------------------------------------------

@@ -174,6 +174,32 @@ class TestPlan:
             want = [out.value for out in self.step(w, v, batch)()]
             assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
 
+    def test_planned_records_only_what_replays(self, monkeypatch):
+        # a call on the shapes of the last recording replays it; any other
+        # call records with `again`, and runs on Vars without it
+        rng = np.random.default_rng(7)
+        w = ad.param(rng.standard_normal((4, 3)), "w")
+        v = ad.param(rng.standard_normal((3, 2)), "v")
+        sizes, again = [6, 6, 5, 4, 4, 6], [True, True, False, True, False, False]
+        batches = [(rng.standard_normal((n, 4)), rng.integers(0, 2, size=n)) for n in sizes]
+        calls, record, replay = [], ad.record, ad.Plan.replay
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(ad, "record", counted("record", record))
+        monkeypatch.setattr(ad.Plan, "replay", counted("replay", replay))
+        run = ad.planned(lambda x, y: self.step(w, v, (x, y))(), [w, v])
+        for batch, more in zip(batches, again):
+            w.value = w.value + 0.1
+            got = run(*batch, again=more)
+            want = [out.value for out in self.step(w, v, batch)()]
+            assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
+        assert calls == ["record", "replay", "record", "replay"]
+
     def test_record_refuses_a_leaf_it_was_not_given(self):
         rng = np.random.default_rng(6)
         w = ad.param(rng.standard_normal((4, 3)), "w")
@@ -188,26 +214,46 @@ class TestPlan:
             ad.record(lambda: ad.record(lambda: [x * x], [x], ())[1], [x], ())
 
 
+def vector_gradient(f):
+    """The flat gradient of `f(leaf)`, a loss built on a flat leaf, as a
+    function of the leaf's value, by one `grad` on Vars."""
+    def gradient(theta):
+        leaf = ad.param(theta, name="theta")
+        (g,) = ad.grad(f(leaf), [leaf])
+        return g.value.ravel()
+    return gradient
+
+
 class TestHvp:
-    def _quad_closure(self, a):
-        def closure(theta):
+    def _quad_gradient(self, a):
+        def gradient(theta):
             leaf = ad.param(theta.reshape(1, -1), name="theta")
-            return ad.vsum((leaf @ ad.const(a)) * leaf) * ad.const(0.5), leaf
-        return closure
+            (g,) = ad.grad(ad.vsum((leaf @ ad.const(a)) * leaf) * ad.const(0.5), [leaf])
+            return g.value.ravel()
+        return gradient
 
     def test_diagonal_quadratic(self):
         a = np.diag([3.0, 1.0])
-        hv = ad.hvp(self._quad_closure(a), np.zeros(2), np.array([1.0, 0.0]))
+        hv = ad.hvp(self._quad_gradient(a), np.zeros(2), np.array([1.0, 0.0]))
         assert np.max(np.abs(hv - np.array([3.0, 0.0]))) < 1e-6
 
     def test_zero_direction(self):
         a = np.diag([3.0, 1.0])
-        hv = ad.hvp(self._quad_closure(a), np.zeros(2), np.zeros(2))
+        hv = ad.hvp(self._quad_gradient(a), np.zeros(2), np.zeros(2))
         assert np.array_equal(hv, np.zeros(2))
 
     def test_zero_length_direction_rejected(self):
         with pytest.raises(ad.ShapeError):
-            ad.hvp(self._quad_closure(np.eye(1)), np.zeros(0), np.zeros(0))
+            ad.hvp(self._quad_gradient(np.eye(1)), np.zeros(0), np.zeros(0))
+
+    @staticmethod
+    def _tanh_energy(a):
+        n = len(a)
+
+        def f(leaf):
+            h = ad.vtanh(ad.reshape(ad.const(a) @ ad.reshape(leaf, (n, 1)), (n,)))
+            return ad.vsum(h * h)
+        return f
 
     def test_matches_dense_fd_hessian(self):
         rng = np.random.default_rng(4)
@@ -218,32 +264,21 @@ class TestHvp:
             h = np.tanh(a @ t)
             return float(np.sum(h * h))
 
-        def closure(theta):
-            leaf = ad.param(theta, name="theta")
-            h = ad.vtanh(ad.reshape(ad.const(a) @ ad.reshape(leaf, (n, 1)), (n,)))
-            return ad.vsum(h * h), leaf
-
         theta = 0.3 * rng.standard_normal(n)
         v = rng.standard_normal(n)
-        hv = ad.hvp(closure, theta, v)
+        hv = ad.hvp(vector_gradient(self._tanh_energy(a)), theta, v)
         ref = fd_hessian(f_np, theta) @ v
         assert np.linalg.norm(hv - ref) / np.linalg.norm(ref) < 1e-3
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         n = 5
-        a = rng.standard_normal((n, n))
-
-        def closure(theta):
-            leaf = ad.param(theta, name="theta")
-            h = ad.vtanh(ad.reshape(ad.const(a) @ ad.reshape(leaf, (n, 1)), (n,)))
-            return ad.vsum(h * h), leaf
-
+        gradient = vector_gradient(self._tanh_energy(rng.standard_normal((n, n))))
         theta = 0.2 * rng.standard_normal(n)
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        left = float(v @ ad.hvp(closure, theta, u))
-        right = float(u @ ad.hvp(closure, theta, v))
+        left = float(v @ ad.hvp(gradient, theta, u))
+        right = float(u @ ad.hvp(gradient, theta, v))
         assert abs(left - right) / max(abs(left), abs(right), 1e-8) < 1e-4
 
 

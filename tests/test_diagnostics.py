@@ -13,12 +13,21 @@ from tsedarts.space import ArchEncoding, discretize
 from helpers import checksum
 
 
-def quad_closure(h):
-    """Loss 0.5 * theta^T h theta as a closure over the flat vector."""
-    def closure(theta):
+def quad_gradient(h):
+    """The flat gradient of 0.5 * theta^T h theta, by one `grad` on Vars."""
+    def gradient(theta):
         leaf = ad.param(theta.reshape(1, -1), name="theta")
-        return ad.vsum((leaf @ ad.const(h)) * leaf) * ad.const(0.5), leaf
-    return closure
+        (g,) = ad.grad(ad.vsum((leaf @ ad.const(h)) * leaf) * ad.const(0.5), [leaf])
+        return g.value.ravel()
+    return gradient
+
+
+def var_alpha_gradient(net, batch, theta):
+    """The flat alpha-gradient on `batch` at `theta`, on Vars: a fresh
+    probe leaf, one forward and one `grad`."""
+    leaf = ad.param(theta.reshape(net.alpha.shape), name="alpha_probe")
+    (g,) = ad.grad(net.loss(net.forward(batch[0], alpha=leaf), batch[1]), [leaf])
+    return g.value.ravel()
 
 
 def make_net(seed=0, layers=1, width=3):
@@ -30,18 +39,19 @@ def make_net(seed=0, layers=1, width=3):
 class TestDominantEigenvalue:
     def test_known_diagonal_spectrum(self):
         h = np.diag([5.0, 2.0, 1.0])
-        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
+        est = dg.dominant_eigenvalue(quad_gradient(h), np.zeros(3))
         assert est == pytest.approx(5.0, abs=1e-3)
 
     def test_constant_loss_zero_hessian_flag(self):
-        def closure(theta):
+        def gradient(theta):
             leaf = ad.param(theta, name="theta")
-            return ad.const(2.5) + ad.const(0.0) * ad.vsum(leaf), leaf
-        assert dg.dominant_eigenvalue(closure, np.zeros(4)) == 0.0
+            (g,) = ad.grad(ad.const(2.5) + ad.const(0.0) * ad.vsum(leaf), [leaf])
+            return g.value.ravel()
+        assert dg.dominant_eigenvalue(gradient, np.zeros(4)) == 0.0
 
     def test_negative_dominant_eigenvalue_found(self):
         h = np.diag([3.0, -7.0, 1.0])
-        est = dg.dominant_eigenvalue(quad_closure(h), np.zeros(3))
+        est = dg.dominant_eigenvalue(quad_gradient(h), np.zeros(3))
         assert est == pytest.approx(-7.0, abs=1e-3)
 
     def test_one_hvp_per_alpha_entry(self, monkeypatch, tmp_path):
@@ -58,16 +68,53 @@ class TestDominantEigenvalue:
         monkeypatch.setattr(ad, "backward", counted)
         for n in (2, 5):
             calls.write_text("")
-            dg.dominant_eigenvalue(quad_closure(np.diag(np.arange(1.0, n + 1))),
+            dg.dominant_eigenvalue(quad_gradient(np.diag(np.arange(1.0, n + 1))),
                                    np.zeros(n))
             assert len(calls.read_text()) == 2 * n
 
-    def test_alpha_closure_on_supernet(self):
+    def test_alpha_gradient_on_supernet(self):
         net = make_net()
         rng = np.random.default_rng(1)
         batch = (rng.standard_normal((8, 4)), rng.integers(0, 2, size=8))
-        closure = dg.alpha_loss_closure(net, batch)
-        assert np.isfinite(dg.dominant_eigenvalue(closure, net.alpha.value))
+        gradient = dg.alpha_gradient(net, batch)
+        assert np.isfinite(dg.dominant_eigenvalue(gradient, net.alpha.value))
+
+    @pytest.mark.parametrize("preset, in_shape", [("s2-like", (16,)),
+                                                  ("nb201-like", (1, 8, 8))])
+    def test_alpha_gradient_equals_grad_on_vars(self, preset, in_shape, monkeypatch):
+        # one recording, then replays at other alphas, each bit for bit
+        # the gradient of a fresh loss on Vars
+        net = sn.Supernet(sn.SupernetConfig(layers=2, width=4, preset=preset, classes=4,
+                                            in_shape=in_shape, seed=0))
+        rng = np.random.default_rng(2)
+        batch = (rng.standard_normal((32,) + in_shape), rng.integers(0, 4, size=32))
+        records, record = [], ad.record
+        monkeypatch.setattr(ad, "record", lambda *args: records.append(1) or record(*args))
+        gradient = dg.alpha_gradient(net, batch)
+        for scale in (0.0, 0.3, 1.0, 3.0):
+            theta = scale * rng.standard_normal(net.alpha.value.size)
+            got = gradient(theta)
+            assert got.shape == theta.shape
+            assert got.tobytes() == var_alpha_gradient(net, batch, theta).tobytes()
+        assert records == [1]
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite value in stem/W"),
+        (1e308, "non-finite value from floating-point overflow")])
+    def test_alpha_gradient_fault_as_var_path(self, value, message):
+        # a replayed probe meets a NaN or overflowing weight as the Var path does
+        net = make_net()
+        rng = np.random.default_rng(3)
+        batch = (rng.standard_normal((8, 4)), rng.integers(0, 2, size=8))
+        gradient = dg.alpha_gradient(net, batch)
+        theta = np.zeros(net.alpha.value.size)
+        gradient(theta)
+        net.params["stem/W"].value = np.full_like(net.params["stem/W"].value, value)
+        with pytest.raises(ad.NonFiniteError) as var_path:
+            var_alpha_gradient(net, batch, theta)
+        with pytest.raises(ad.NonFiniteError) as replayed:
+            gradient(theta)
+        assert str(replayed.value) == str(var_path.value) == message
 
     @pytest.mark.parametrize("preset,seed", [("s2-like", 0), ("s2-like", 1),
                                              ("s2-like", 2), ("s2-like", 3),

@@ -222,15 +222,16 @@ class TestTseDartsRound:
 class TestDartsFirstOrder:
     def test_round_updates_both_groups(self):
         net = tiny_net()
-        (tb,), (vb,) = tiny_batches(11, 1), tiny_batches(12, 1)
+        tbs, vbs = tiny_batches(11, 3), tiny_batches(12, 3)
         w_before = checksum(net)
         a_before = net.alpha.value.copy()
         arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(lr=1e-2))
-        out = optim.darts_first_order_round(net, tb, vb,
-                                            optim.SGDConfig(lr=0.05), arch)
+        train_losses, val_losses = optim.darts_first_order_round(
+            net, tbs, vbs, optim.SGDConfig(lr=0.05), arch)
         assert checksum(net) != w_before
         assert not np.array_equal(net.alpha.value, a_before)
-        assert np.isfinite(out["train_loss"]) and np.isfinite(out["val_loss"])
+        assert len(train_losses) == len(val_losses) == 3
+        assert np.all(np.isfinite(train_losses + val_losses))
 
     def test_matches_manual_step_by_step(self):
         net = tiny_net(seed=13)
@@ -239,7 +240,7 @@ class TestDartsFirstOrder:
         w_cfg = optim.SGDConfig(lr=0.1)
         arch = optim.ArchOptimizer(optim.ArchOptimizerConfig(
             lr=0.5, weight_decay=0.0))
-        optim.darts_first_order_round(net, tb, vb, w_cfg, arch)
+        optim.darts_first_order_round(net, [tb], [vb], w_cfg, arch)
         # manual: weight step on train loss
         _, grads = optim.loss_and_grads(ref, tb, ref.weight_vars())
         for k, p in ref.params.items():
@@ -253,6 +254,13 @@ class TestDartsFirstOrder:
         ref.alpha.value = ref.alpha.value - 0.5 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert checksum(net) == checksum(ref)
         assert np.max(np.abs(net.alpha.value - ref.alpha.value)) < 1e-15
+
+    def test_unequal_batch_lists_rejected(self):
+        net = tiny_net()
+        arch = optim.ArchOptimizer(optim.ArchOptimizerConfig())
+        with pytest.raises(optim.OptimError, match="3 train batches but 2 validation"):
+            optim.darts_first_order_round(net, tiny_batches(1, 3), tiny_batches(2, 2),
+                                          optim.SGDConfig(lr=0.05), arch)
 
 
 class TestExactOracles:
@@ -330,7 +338,7 @@ class TestGraphLifetime:
             net, window, cfg, optim.ArchOptimizer(optim.ArchOptimizerConfig())),
         "darts_first_order_round": lambda net, window, cfg:
             optim.darts_first_order_round(
-                net, *window.batches[:2], cfg,
+                net, window.batches, tiny_batches(22, len(window.batches)), cfg,
                 optim.ArchOptimizer(optim.ArchOptimizerConfig())),
         "replay_final_loss": lambda net, window, cfg: oracles.replay_final_loss(
             net, window, cfg, net.alpha.value.ravel()),
@@ -364,13 +372,15 @@ class TestGraphLifetime:
         assert alive == [0] * len(alive)
 
     STEPPED = {"tse_unroll": lambda net, window, cfg: optim.tse_unroll(net, window, cfg),
-               "tse_darts_round": RUNS["tse_darts_round"]}
+               "tse_darts_round": RUNS["tse_darts_round"],
+               "darts_first_order_round": RUNS["darts_first_order_round"]}
 
     @pytest.mark.parametrize("run", sorted(STEPPED))
     def test_step_arrays_dead_when_next_step_starts(self, run, monkeypatch):
         # every array a step computes, on the Var path when the step is
         # recorded and by the plan's calls when it is replayed, is dead
-        # when the next step starts, its loss and gradients included
+        # when the next step starts, its loss and gradients included; a
+        # darts round alternates a train and a validation step
         net = tiny_net(seed=21)
         window = optim.make_window(net, tiny_batches(21, 3))
         made, alive = [], []
@@ -485,7 +495,7 @@ class TestPlanReplay:
         monkeypatch.setattr(ad, "record", counted_record)
         losses, alpha_grad = optim._sgd_steps(nets[1], batches, wrts[1], cfg)
 
-        assert records == [0, 4]   # the short last batch records again
+        assert records == [0]   # the short last batch, replayed by none, runs on Vars
         assert len(stepped) == len(expected) == 5
         for (loss, grads), got_loss, got in zip(expected, losses, stepped):
             assert bits(got_loss) == bits(loss)
@@ -498,6 +508,22 @@ class TestPlanReplay:
             if "alpha" in grads:
                 total += grads["alpha"]
         assert bits(alpha_grad) == bits(total)
+
+    @pytest.mark.parametrize("kind", sorted(NETS))
+    def test_one_batch_window_records_nothing(self, kind, monkeypatch):
+        nets = [self.NETS[kind]() for _ in range(2)]
+        batches = window_batches(nets[0], [32])
+        cfg = optim.SGDConfig(lr=0.05)
+        wrts = [net.weight_vars() + [net.alpha] for net in nets]
+        ((loss, grads),) = var_path_window(nets[0], batches, wrts[0], cfg)
+        records, record = [], ad.record
+        monkeypatch.setattr(ad, "record", lambda *args: records.append(1) or record(*args))
+        losses, alpha_grad = optim._sgd_steps(nets[1], batches, wrts[1], cfg)
+        assert records == []
+        assert bits(losses[0]) == bits(loss)
+        assert bits(alpha_grad) == bits(grads["alpha"])
+        for k in nets[0].params:
+            assert bits(nets[1].params[k].value) == bits(nets[0].params[k].value), k
 
     @staticmethod
     def plant(kind, net, batches):
@@ -537,3 +563,115 @@ class TestPlanReplay:
             optim.tse_unroll(other, optim.UnrollWindow(other.snapshot(), other_batches), cfg)
         assert err.value.step == step
         assert err.value.args[1] == message
+
+
+def var_path_darts(net, train_batches, val_batches, w_cfg, arch) -> list:
+    """A darts-1st epoch on the Var path, one step pair at a time:
+    `loss_and_grads` and `sgd_step` on the train batch, then
+    `loss_and_grads` over alpha and `ArchOptimizer.step` on the
+    validation batch.  A `NonFiniteError` ends it as its message."""
+    steps = []
+    for tb, vb in zip(train_batches, val_batches):
+        try:
+            loss_t, grads = optim.loss_and_grads(net, tb, net.weight_vars())
+            optim.sgd_step(net.params, grads, w_cfg)
+            loss_v, grad = optim.loss_and_grads(net, vb, [net.alpha])
+        except ad.NonFiniteError as err:
+            steps.append(str(err))
+            break
+        arch.step(net.alpha, grad["alpha"])
+        steps.append((loss_t, grads, loss_v, grad["alpha"]))
+    return steps
+
+
+def arch_opt():
+    return optim.ArchOptimizer(optim.ArchOptimizerConfig(lr=3e-3))
+
+
+class TestDartsPlans:
+    """A darts-1st round that records each of its two steps once and
+    replays the rest equals the Var path step for step, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(TestPlanReplay.NETS))
+    def test_round_equals_var_path(self, kind, monkeypatch):
+        nets = [TestPlanReplay.NETS[kind]() for _ in range(2)]
+        for net in nets:
+            net.alpha.value = 0.3 * np.random.default_rng(41).standard_normal(net.alpha.shape)
+        train = window_batches(nets[0], [32, 32, 32, 32, 20], seed=42)
+        val = window_batches(nets[0], [32, 32, 32, 32, 20], seed=43)
+        for batches in (train, val):   # other labels at every step
+            assert not any(np.array_equal(a[1][:20], b[1][:20])
+                           for a, b in zip(batches, batches[1:]))
+        cfg = optim.SGDConfig(lr=0.05)
+        expected = var_path_darts(nets[0], train, val, cfg, arch_opt())
+
+        stepped, records = [], []
+        sgd_step, arch_step, record = optim.sgd_step, optim.ArchOptimizer.step, ad.record
+
+        def kept_step(weights, grads, cfg):
+            stepped.append({k: g.copy() for k, g in grads.items()})
+            sgd_step(weights, grads, cfg)
+
+        def kept_arch_step(self, alpha, grad):
+            stepped.append(grad.copy())
+            arch_step(self, alpha, grad)
+
+        def counted_record(*args):
+            records.append(len(stepped))
+            return record(*args)
+
+        monkeypatch.setattr(optim, "sgd_step", kept_step)
+        monkeypatch.setattr(optim.ArchOptimizer, "step", kept_arch_step)
+        monkeypatch.setattr(ad, "record", counted_record)
+        train_losses, val_losses = optim.darts_first_order_round(
+            nets[1], train, val, cfg, arch_opt())
+
+        # step 0 records the train step, then the validation step; the
+        # short last batches, replayed by none, run on Vars
+        assert records == [0, 1]
+        assert len(expected) == len(train_losses) == len(val_losses) == 5
+        for t, (loss_t, grads, loss_v, grad) in enumerate(expected):
+            assert bits(train_losses[t]) == bits(loss_t)
+            assert bits(val_losses[t]) == bits(loss_v)
+            got = stepped[2 * t]
+            assert list(got) == list(grads)
+            assert all(bits(got[k]) == bits(grads[k]) for k in grads)
+            assert bits(stepped[2 * t + 1]) == bits(grad)
+        for k in nets[0].params:
+            assert bits(nets[1].params[k].value) == bits(nets[0].params[k].value), k
+        assert bits(nets[1].alpha.value) == bits(nets[0].alpha.value)
+
+    @pytest.mark.parametrize("kind, step, message", [
+        ("weight-nan", 1, "non-finite value in stem/W"),
+        ("val-overflow", 2, "non-finite value from floating-point overflow"),
+    ])
+    def test_fault_at_replayed_step_as_var_path(self, kind, step, message, monkeypatch):
+        if kind == "weight-nan":   # the second update of a net, and each after, leaves a NaN
+            sgd_step, updates = optim.sgd_step, {}
+
+            def poisoned(weights, grads, cfg):
+                sgd_step(weights, grads, cfg)
+                n = updates[id(weights)] = updates.get(id(weights), 0) + 1
+                if n >= 2:
+                    weights["stem/W"].value[0, 0] = np.nan
+            monkeypatch.setattr(optim, "sgd_step", poisoned)
+        cfg = optim.SGDConfig(lr=0.05)
+        runs = []
+        for _ in range(2):
+            net, train, val = tiny_net(), tiny_batches(7, 4), tiny_batches(8, 4)
+            if kind == "val-overflow":   # step 2's stem products overflow
+                net.params["stem/W"].value.fill(1.0)
+                val[2][0].fill(1e308)
+            runs.append((net, train, val))
+        (net, train, val), (other, other_train, other_val) = runs
+        expected = var_path_darts(net, train, val, cfg, arch_opt())
+        assert len(expected) == step + 1 and expected[-1] == message
+        records, record = [], ad.record
+        monkeypatch.setattr(ad, "record", lambda *args: records.append(1) or record(*args))
+        with pytest.raises(ad.NonFiniteError) as err:
+            optim.darts_first_order_round(other, other_train, other_val, cfg, arch_opt())
+        assert str(err.value) == message
+        assert records == [1, 1]   # the fault meets a replayed step
+        for k in net.params:
+            assert bits(other.params[k].value) == bits(net.params[k].value), k
+        assert bits(other.alpha.value) == bits(net.alpha.value)
