@@ -52,8 +52,9 @@ shows the gain in the window and epoch cases, and in `eigen-512`, whose
 For each case it first checks that both trees give the same numbers,
 bit for bit (the loss and gradients, the eigenvalue, the suite's
 checks, a window's TSE, step losses, alpha-gradient and final
-weights, or an epoch's step losses, final weights and alpha), and then times it in N alternating parent/change pairs, the
-order flipping every pair.
+weights, or an epoch's step losses, final weights and alpha), and then
+times it in N alternating parent/change pairs, the order flipping every
+pair.
 Interleaving keeps slow drift of the machine out of the comparison,
 which runs of a whole benchmark in separate processes do not.  But both
 trees share one heap in one process, so a change to how much memory a
@@ -198,7 +199,7 @@ def make_darts_epoch(pkg, steps: int = 25):
             losses = optim.darts_first_order_round(net, train, val, cfg, arch)
         else:
             out = [optim.darts_first_order_round(net, tb, vb, cfg, arch)
-                     for tb, vb in zip(train, val)]
+                   for tb, vb in zip(train, val)]
             losses = ([s["train_loss"] for s in out], [s["val_loss"] for s in out])
         return tuple(map(tuple, losses)), dict(net.snapshot(), alpha=net.alpha.value)
     return run

@@ -598,7 +598,7 @@ class TestDartsPlans:
         for net in nets:
             net.alpha.value = 0.3 * np.random.default_rng(41).standard_normal(net.alpha.shape)
         train = window_batches(nets[0], [32, 32, 32, 32, 20], seed=42)
-        val = window_batches(nets[0], [32, 32, 32, 32, 20], seed=43)
+        val = window_batches(nets[0], [32, 20, 32, 32, 32], seed=43)
         for batches in (train, val):   # other labels at every step
             assert not any(np.array_equal(a[1][:20], b[1][:20])
                            for a, b in zip(batches, batches[1:]))
@@ -627,7 +627,8 @@ class TestDartsPlans:
             nets[1], train, val, cfg, arch_opt())
 
         # step 0 records the train step, then the validation step; the
-        # short last batches, replayed by none, run on Vars
+        # short batches, replayed by none, run on Vars, and the validation
+        # step after its short batch replays the plan of step 0
         assert records == [0, 1]
         assert len(expected) == len(train_losses) == len(val_losses) == 5
         for t, (loss_t, grads, loss_v, grad) in enumerate(expected):
