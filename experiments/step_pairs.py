@@ -77,7 +77,11 @@ same, bit for bit, in both trees:
 
 It prints, per case, the median and quartiles of each side's step time
 in ms, the change/parent ratio of the medians, and the fraction of pairs
-in which the change was faster, then a JSON summary.  It exits 1 when
+in which the change was faster.  Then it records one `vector` and one
+`image` step over every weight and alpha with `autodiff.record` in each
+tree and prints the number of calls in each plan (`len(plan.code)`, the
+calls a replay runs, slot frees included), so that a change to what a
+replay runs shows next to its timing.  Last comes a JSON summary.  It exits 1 when
 the two trees' numbers differ, else 0.  It measures; it gates nothing.
 """
 
@@ -247,6 +251,20 @@ def exact_tse(pkg) -> tuple:
     return pkg.optim.exact_tse_gradient(net, window, pkg.optim.SGDConfig(lr=0.05))
 
 
+def plan_calls(pkg, net_name: str):
+    """The number of calls in the recorded plan of one step over every
+    weight and alpha on the `net_name` net and batch, or None for a tree
+    that records no plans."""
+    ad, optim = pkg.autodiff, pkg.optim
+    if not hasattr(ad, "record"):
+        return None
+    net, x, y = make_net(pkg, *NETS[net_name])
+    wrt = net.weight_vars() + [net.alpha]
+    plan, _ = ad.record(lambda: optim._step(net, (x, y), wrt),
+                        [net.alpha] + net.weight_vars(), (x, y))
+    return len(plan.code)
+
+
 def same_numbers(a: tuple, b: tuple) -> bool:
     (loss_a, grads_a), (loss_b, grads_b) = a, b
     return (loss_a == loss_b and list(grads_a) == list(grads_b)
@@ -299,6 +317,10 @@ def main() -> int:
               f"change {change[1]:.2f} ms [{change[0]:.2f}, {change[2]:.2f}], "
               f"change/parent {change[1] / parent[1]:.3f}, "
               f"change faster in {wins}/{n} pairs")
+    for name in NETS:
+        calls = [plan_calls(pkg, name) for pkg in trees]
+        summary[f"plan_calls_{name}"] = {"parent": calls[0], "change": calls[1]}
+        print(f"plan calls {name}: parent {calls[0]}, change {calls[1]}")
     (tse_a, grad_a), (tse_b, grad_b) = (exact_tse(pkg) for pkg in trees)
     same = tse_a == tse_b and np.array_equal(grad_a, grad_b)
     identical &= same

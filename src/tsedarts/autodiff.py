@@ -7,11 +7,22 @@ cotangent of ones in the root's shape, and returns the gradients of the
 requested leaves as a list, in the order they were requested.
 
 Arrays are graph nodes: parameters (named leaves), constants (unnamed
-leaves, such as a batch) and op results.  Python scalars are not:
-a scalar operand of `add`/`sub`/`mul`/`div`, the exponent of `power`,
-the count `vmean` divides by and the target shape of `broadcast_to`
-are attributes of their node, read by its VJP rule, so no leaf is made
-for them and no cotangent is computed for them.
+leaves, such as a batch) and op results.  `Var(value, name=None)` makes
+the leaves; an operand of a primitive is a `Var`, never an array that
+it would convert.  Python scalars are not nodes: a scalar operand of
+`add`/`sub`/`mul`/`div`, the exponent of `power`, the count `vmean`
+divides by and the target shape of `broadcast_to` are static operands
+of their node, read by its VJP rule, so no leaf is made for them and no
+cotangent is computed for them.
+
+Every op node is made by one of two constructors, `_unary(fn, vjp, a,
+*static)` and `_binary(fn, vjp, a, b)`.  The node's value is the one
+call `fn` on the operands' values and the static operands (`np.add`,
+`np.tanh`, `_product`, `_patch_rows`, ...); the constructor tests it,
+keeps the parents and the rule while recording, and notes that same
+call in a plan being recorded.  A scalar-first `sub` or `div` has its
+own value function (`_rsub`, `_rdiv`), since `-` and `/` do not
+commute; `+` and `*` do, bit for bit, so their scalar can go second.
 
 Each primitive has one VJP rule, written with this module's `Var`
 primitives (looked up by name when the rule runs), and both sweeps run
@@ -38,7 +49,8 @@ supernet's softmax over alpha), op results are guarded by
 numpy's floating-point flags, which raise `NonFiniteError` where a
 finite input turns non-finite; the region's leaves are tested on entry,
 and leaves, constants and matmul (BLAS) results made inside are tested
-entrywise.  Outside a region, `Var.__init__` tests every value.
+entrywise.  Outside a region every value is tested: a leaf's by `Var`,
+an op result's by the constructor that makes it.
 
 Images get two linear primitives, each with an adjoint primitive: `im2col3`
 gathers the 3x3 same-padded patch rows (n*h*w, 9c) that a convolution
@@ -53,14 +65,14 @@ again for the weight's cotangent, which costs a copy and no arithmetic.
 
 A training step that runs many times on arrays of the same shapes can
 be recorded once and replayed (`record`, `Plan`).  Recording runs the
-step on `Var`s as usual, forward and detached sweep alike, and notes
-every value function a primitive calls (`np.add`, `_product`,
-`_patch_rows`, ...), with its operand slots and static operands, in
-order.  A constant derived from the step's leaves or inputs (the batch,
-the one-hot labels, the detached max-shifts of a softmax and of a
-log-sum-exp) is made by `derived`, so the plan computes and tests it
-again; only shape-fixed constants (a cotangent of ones, a zero gradient,
-a fixed matrix) are kept.  A replay runs the noted calls on the leaves'
+step on `Var`s as usual, forward and detached sweep alike, and the two
+constructors note the call that valued each op node, with its operand
+slots and static operands, in order: a replay runs the very calls that
+the `Var`s ran.  A constant derived from the step's leaves or inputs
+(the batch, the one-hot labels, the detached max-shifts of a softmax
+and of a log-sum-exp) is made by `derived`, so the plan computes and
+tests it again; only shape-fixed constants (a cotangent of ones, a zero
+gradient, a fixed matrix) are kept.  A replay runs the noted calls on the leaves'
 current values and new inputs, as one flat loop inside `trapped()`, with
 the entry tests of the leaves and of the derived constants where the
 recorded step made them, so it computes and checks the same values, bit
@@ -116,12 +128,16 @@ class TapeConsumedError(AutodiffError):
     pass
 
 
-# False inside `no_record()`: new Vars keep no parents and no VJP rule.
+# False inside `no_record()`: new op nodes keep no parents and no VJP rule.
 _RECORDING = True
 # True inside `trapped()`: numpy's floating-point flags guard op results.
 _TRAPPED = False
 # numpy's one float64 dtype object, which float64 op results carry
 _F64 = np.dtype(np.float64)
+# Makes an op node without running `Var.__init__` (see `_unary`).
+_NEW = object.__new__
+# The parents and rule of an op node made inside `no_record()`.
+_NO_GRAPH = ((), None)
 # The `Plan` being recorded, or None (see `record`).
 _PLAN = None
 
@@ -151,12 +167,13 @@ def _raise_nonfinite(kind: str, flag: int):
     raise NonFiniteError(f"non-finite value from floating-point {kind}")
 
 
-def _test_finite(labels: tuple, *values):
-    """One test over all `values`; only a failure looks for the first
-    non-finite one, to name it by its entry of `labels`."""
+def check_finite(labels: Sequence, *values, error=NonFiniteError, what="value in"):
+    """One test over all `values` (arrays); only a failure looks for the
+    first non-finite one and raises `error("non-finite {what} {label}")`,
+    with its entry of `labels`."""
     if values and not all_finite(np.concatenate([v.ravel() for v in values])):
         bad = next(k for k, v in zip(labels, values) if not all_finite(v))
-        raise NonFiniteError(f"non-finite value in {bad}")
+        raise error(f"non-finite {what} {bad}")
 
 
 @contextlib.contextmanager
@@ -176,7 +193,7 @@ def trapped(leaves):
     leaves = list(leaves)
     if _PLAN is not None:
         _PLAN.test(leaves)
-    _test_finite(tuple('leaf' if v.name is None else v.name for v in leaves),
+    check_finite(tuple('leaf' if v.name is None else v.name for v in leaves),
                  *[v.value for v in leaves])
     prev, _TRAPPED = _TRAPPED, True
     try:
@@ -190,33 +207,26 @@ def trapped(leaves):
 class Var:
     """A node in the computation graph.
 
-    Leaves with a `name` are parameters; leaves without one are
-    constants.  `parents` is a tuple, kept as given.  `vjp(g, out, a)`
-    (one parent) or `vjp(g, out, a, b, need)` (two parents) is the op's
-    VJP rule: it maps the output cotangent `g` to cotangents for
-    `parents`, in order, with this module's primitives.  `out` and
-    `a`, `b` are this node and its parents; `need` holds one flag per
-    parent, and a two-parent rule returns None in place of the
-    cotangent of a parent whose flag is False.  Every value is checked
-    for finiteness here, except an op result inside `trapped()`, which
-    numpy's flags guard.
+    `Var(value, name=None)` makes a leaf: a parameter when it has a
+    `name`, a constant when it has none.  Its value is converted to a
+    float64 array and checked for finiteness.  Op results are made by
+    `_unary` and `_binary` alone; they keep their `parents`, a tuple,
+    and `vjp(g, out, a)` (one parent) or `vjp(g, out, a, b, need)` (two
+    parents), the op's VJP rule: it maps the output cotangent `g` to
+    cotangents for `parents`, in order, with this module's primitives.
+    `out` and `a`, `b` are this node and its parents; `need` holds one
+    flag per parent, and a two-parent rule returns None in place of the
+    cotangent of a parent whose flag is False.  A leaf has no parents
+    and no rule.
     """
 
     __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
 
-    def __init__(self, value, parents=(), vjp=None, name=None):
-        # an op result is already a float64 ndarray, kept without a call
-        v = value if type(value) is np.ndarray and value.dtype is _F64 else \
-            np.asarray(value, dtype=np.float64)
-        if not (_TRAPPED and parents) and not all_finite(v):
+    def __init__(self, value, name=None):
+        v = np.asarray(value, dtype=np.float64)
+        if not all_finite(v):
             raise NonFiniteError(f"non-finite value in {'node' if name is None else name}")
-        self.value = v
-        if _RECORDING:
-            self.parents = parents
-            self.vjp = vjp
-        else:
-            self.parents, self.vjp = (), None
-        self.name = name
+        self.value, self.parents, self.vjp, self.name = v, (), None, name
 
     @property
     def shape(self):
@@ -264,10 +274,6 @@ class Var:
         return vmean(self, axis=axis, keepdims=keepdims)
 
 
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
 def const(x) -> Var:
     """An untracked constant (gradient never requested)."""
     return Var(x)
@@ -306,22 +312,44 @@ def _unbroadcast(g, shape: tuple):
     return g
 
 
-# Each primitive computes its value with one call, `fn(operands)`, and
-# a plan being recorded notes that call: `_PLAN.op(out, fn, operands)`.
+# Every op node is made here: its value is the one call `fn(operand
+# values, static operands)`, and a plan being recorded notes that call.
+
+def _unary(fn, vjp, a: Var, *static) -> Var:
+    """The node `fn(a.value, *static)` with parent `a` and rule
+    `vjp(g, out, a)`; `static` are operands kept out of the graph."""
+    v = fn(a.value, *static)
+    if type(v) is not np.ndarray or v.dtype is not _F64:
+        v = np.asarray(v, dtype=np.float64)   # a 0-d result may be a numpy scalar
+    if not _TRAPPED and not all_finite(v):
+        raise NonFiniteError("non-finite value in node")
+    out = _NEW(Var)
+    out.value, out.name = v, None
+    out.parents, out.vjp = ((a,), vjp) if _RECORDING else _NO_GRAPH
+    return out if _PLAN is None else _PLAN.op(out, fn, a, *static)
+
+
+def _binary(fn, vjp, a: Var, b: Var) -> Var:
+    """The node `fn(a.value, b.value)` with parents `a`, `b` and rule
+    `vjp(g, out, a, b, need)`; see `_unary`."""
+    v = fn(a.value, b.value)
+    if type(v) is not np.ndarray or v.dtype is not _F64:
+        v = np.asarray(v, dtype=np.float64)
+    if not _TRAPPED and not all_finite(v):
+        raise NonFiniteError("non-finite value in node")
+    out = _NEW(Var)
+    out.value, out.name = v, None
+    out.parents, out.vjp = ((a, b), vjp) if _RECORDING else _NO_GRAPH
+    return out if _PLAN is None else _PLAN.op(out, fn, a, b)
+
 
 def add(a, b) -> Var:
     if not (isinstance(a, Var) and isinstance(b, Var)):
         if isinstance(b, _SCALAR):
-            a = as_var(a)
-            out = Var(a.value + b, (a,), _pass_vjp)
-            return out if _PLAN is None else _PLAN.op(out, operator.add, a, b)
-        if isinstance(a, _SCALAR):
-            b = as_var(b)
-            out = Var(a + b.value, (b,), _pass_vjp)
-            return out if _PLAN is None else _PLAN.op(out, operator.add, a, b)
-        a, b = as_var(a), as_var(b)
-    out = Var(a.value + b.value, (a, b), _add_vjp)
-    return out if _PLAN is None else _PLAN.op(out, operator.add, a, b)
+            return _unary(operator.add, _pass_vjp, a, b)
+        if isinstance(a, _SCALAR):   # + commutes bit for bit
+            return _unary(operator.add, _pass_vjp, b, a)
+    return _binary(operator.add, _add_vjp, a, b)
 
 
 def _add_vjp(g, out, a, b, need):
@@ -333,19 +361,18 @@ def _pass_vjp(g, out, a):
     return (g,)
 
 
+def _rsub(v: np.ndarray, c: float) -> np.ndarray:
+    """`c - v`: the value of a scalar-first `sub`, which does not commute."""
+    return c - v
+
+
 def sub(a, b) -> Var:
     if not (isinstance(a, Var) and isinstance(b, Var)):
         if isinstance(b, _SCALAR):
-            a = as_var(a)
-            out = Var(a.value - b, (a,), _pass_vjp)
-            return out if _PLAN is None else _PLAN.op(out, operator.sub, a, b)
+            return _unary(operator.sub, _pass_vjp, a, b)
         if isinstance(a, _SCALAR):
-            b = as_var(b)
-            out = Var(a - b.value, (b,), _neg_vjp)
-            return out if _PLAN is None else _PLAN.op(out, operator.sub, a, b)
-        a, b = as_var(a), as_var(b)
-    out = Var(a.value - b.value, (a, b), _sub_vjp)
-    return out if _PLAN is None else _PLAN.op(out, operator.sub, a, b)
+            return _unary(_rsub, _neg_vjp, b, a)
+    return _binary(operator.sub, _sub_vjp, a, b)
 
 
 def _sub_vjp(g, out, a, b, need):
@@ -356,16 +383,10 @@ def _sub_vjp(g, out, a, b, need):
 def mul(a, b) -> Var:
     if not (isinstance(a, Var) and isinstance(b, Var)):
         if isinstance(b, _SCALAR):
-            a = as_var(a)
-            out = Var(a.value * b, (a,), lambda g, out, a: (mul(g, b),))
-            return out if _PLAN is None else _PLAN.op(out, operator.mul, a, b)
-        if isinstance(a, _SCALAR):
-            c, b = a, as_var(b)
-            out = Var(c * b.value, (b,), lambda g, out, b: (mul(g, c),))
-            return out if _PLAN is None else _PLAN.op(out, operator.mul, c, b)
-        a, b = as_var(a), as_var(b)
-    out = Var(a.value * b.value, (a, b), _mul_vjp)
-    return out if _PLAN is None else _PLAN.op(out, operator.mul, a, b)
+            return _unary(operator.mul, lambda g, out, a: (mul(g, b),), a, b)
+        if isinstance(a, _SCALAR):   # * commutes bit for bit
+            return _unary(operator.mul, lambda g, out, b: (mul(g, a),), b, a)
+    return _binary(operator.mul, _mul_vjp, a, b)
 
 
 def _mul_vjp(g, out, a, b, need):
@@ -373,18 +394,18 @@ def _mul_vjp(g, out, a, b, need):
             _unbroadcast(mul(g, a), b.shape) if need[1] else None)
 
 
+def _rdiv(v: np.ndarray, c: float) -> np.ndarray:
+    """`c / v`: the value of a scalar-first `div`, which does not commute."""
+    return c / v
+
+
 def div(a, b) -> Var:
-    if isinstance(b, _SCALAR):
-        a = as_var(a)
-        out = Var(a.value / b, (a,), lambda g, out, a: (div(g, b),))
-        return out if _PLAN is None else _PLAN.op(out, operator.truediv, a, b)
-    if isinstance(a, _SCALAR):
-        c, b = a, as_var(b)
-        out = Var(c / b.value, (b,), lambda g, out, b: (neg(div(mul(g, c), mul(b, b))),))
-        return out if _PLAN is None else _PLAN.op(out, operator.truediv, c, b)
-    a, b = as_var(a), as_var(b)
-    out = Var(a.value / b.value, (a, b), _div_vjp)
-    return out if _PLAN is None else _PLAN.op(out, operator.truediv, a, b)
+    if not (isinstance(a, Var) and isinstance(b, Var)):
+        if isinstance(b, _SCALAR):
+            return _unary(operator.truediv, lambda g, out, a: (div(g, b),), a, b)
+        if isinstance(a, _SCALAR):
+            return _unary(_rdiv, lambda g, out, b: (neg(div(mul(g, a), mul(b, b))),), b, a)
+    return _binary(operator.truediv, _div_vjp, a, b)
 
 
 def _div_vjp(g, out, a, b, need):
@@ -393,9 +414,7 @@ def _div_vjp(g, out, a, b, need):
 
 
 def neg(a) -> Var:
-    a = as_var(a)
-    out = Var(-a.value, (a,), _neg_vjp)
-    return out if _PLAN is None else _PLAN.op(out, operator.neg, a)
+    return _unary(operator.neg, _neg_vjp, a)
 
 
 def _neg_vjp(g, out, a):
@@ -403,19 +422,16 @@ def _neg_vjp(g, out, a):
 
 
 def power(a, p: float) -> Var:
-    a = as_var(a)
-    out = Var(a.value ** p, (a,), lambda g, out, a: (mul(g, mul(p, power(a, p - 1.0))),))
-    return out if _PLAN is None else _PLAN.op(out, operator.pow, a, p)
+    return _unary(operator.pow, lambda g, out, a: (mul(g, mul(p, power(a, p - 1.0))),),
+                  a, p)
 
 
 def matmul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ShapeError("matmul expects 2-d operands")
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    out = Var(_product(a.value, b.value), (a, b), _matmul_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _product, a, b)
+    return _binary(_product, _matmul_vjp, a, b)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -433,16 +449,12 @@ def _matmul_vjp(g, out, a, b, need):
 
 
 def transpose(a, axes=None) -> Var:
-    a = as_var(a)
     inv = None if axes is None else tuple(np.argsort(axes))
-    out = Var(a.value.transpose(axes), (a,), lambda g, out, a: (transpose(g, inv),))
-    return out if _PLAN is None else _PLAN.op(out, np.ndarray.transpose, a, axes)
+    return _unary(np.ndarray.transpose, lambda g, out, a: (transpose(g, inv),), a, axes)
 
 
 def reshape(a, shape) -> Var:
-    a = as_var(a)
-    out = Var(a.value.reshape(shape), (a,), _reshape_vjp)
-    return out if _PLAN is None else _PLAN.op(out, np.ndarray.reshape, a, shape)
+    return _unary(np.ndarray.reshape, _reshape_vjp, a, shape)
 
 
 def _reshape_vjp(g, out, a):
@@ -450,9 +462,7 @@ def _reshape_vjp(g, out, a):
 
 
 def vexp(a) -> Var:
-    a = as_var(a)
-    out = Var(np.exp(a.value), (a,), _vexp_vjp)
-    return out if _PLAN is None else _PLAN.op(out, np.exp, a)
+    return _unary(np.exp, _vexp_vjp, a)
 
 
 def _vexp_vjp(g, out, a):
@@ -460,9 +470,7 @@ def _vexp_vjp(g, out, a):
 
 
 def vlog(a) -> Var:
-    a = as_var(a)
-    out = Var(np.log(a.value), (a,), _vlog_vjp)
-    return out if _PLAN is None else _PLAN.op(out, np.log, a)
+    return _unary(np.log, _vlog_vjp, a)
 
 
 def _vlog_vjp(g, out, a):
@@ -470,9 +478,7 @@ def _vlog_vjp(g, out, a):
 
 
 def vtanh(a) -> Var:
-    a = as_var(a)
-    out = Var(np.tanh(a.value), (a,), _vtanh_vjp)
-    return out if _PLAN is None else _PLAN.op(out, np.tanh, a)
+    return _unary(np.tanh, _vtanh_vjp, a)
 
 
 def _vtanh_vjp(g, out, a):
@@ -492,20 +498,14 @@ def _spread(g, shape: tuple, axis, keepdims: bool):
 def vsum(a, axis=None, keepdims=False) -> Var:
     # np.add.reduce is the reduction ndarray.sum runs, without its Python
     # frame; its operands (array, axis, dtype, out, keepdims) by position
-    a = as_var(a)
-    out = Var(np.add.reduce(a.value, axis, None, None, keepdims), (a,),
-              lambda g, out, a: (_spread(g, a.shape, axis, keepdims),))
-    if _PLAN is None:
-        return out
-    return _PLAN.op(out, np.add.reduce, a, axis, None, None, keepdims)
+    return _unary(np.add.reduce, lambda g, out, a: (_spread(g, a.shape, axis, keepdims),),
+                  a, axis, None, None, keepdims)
 
 
 def broadcast_to(a, shape) -> Var:
     """Read-only broadcast view (see `_broadcast`); the adjoint sums back
     to `a`'s shape."""
-    a = as_var(a)
-    out = Var(_broadcast(a.value, shape), (a,), _broadcast_to_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _broadcast, a, shape)
+    return _unary(_broadcast, _broadcast_to_vjp, a, shape)
 
 
 def _broadcast(v: np.ndarray, shape: tuple) -> np.ndarray:
@@ -534,11 +534,9 @@ def _broadcast_to_vjp(g, out, a):
 def vmean(a, axis=None, keepdims=False) -> Var:
     """One node, valued as `div(vsum(a, axis, keepdims), n)` bit for bit,
     with n the count of entries averaged; its rule is that chain's."""
-    a = as_var(a)
     n = float(a.value.size if axis is None else a.shape[axis])
-    out = Var(_mean(a.value, axis, keepdims, n), (a,),
-              lambda g, out, a: (_spread(div(g, n), a.shape, axis, keepdims),))
-    return out if _PLAN is None else _PLAN.op(out, _mean, a, axis, keepdims, n)
+    return _unary(_mean, lambda g, out, a: (_spread(div(g, n), a.shape, axis, keepdims),),
+                  a, axis, keepdims, n)
 
 
 def _mean(v: np.ndarray, axis, keepdims: bool, n: float) -> np.ndarray:
@@ -547,9 +545,7 @@ def _mean(v: np.ndarray, axis, keepdims: bool, n: float) -> np.ndarray:
 
 def vslice(a, key) -> Var:
     """Basic-index view; the adjoint scatters back into zeros."""
-    a = as_var(a)
-    out = Var(a.value[key], (a,), lambda g, out, a: (vscatter(g, key, a.shape),))
-    return out if _PLAN is None else _PLAN.op(out, operator.getitem, a, key)
+    return _unary(operator.getitem, lambda g, out, a: (vscatter(g, key, a.shape),), a, key)
 
 
 def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
@@ -559,10 +555,7 @@ def _scatter_val(g: np.ndarray, key, shape) -> np.ndarray:
 
 
 def vscatter(g, key, shape) -> Var:
-    g = as_var(g)
-    out = Var(_scatter_val(g.value, key, shape), (g,),
-              lambda gg, out, g: (vslice(gg, key),))
-    return out if _PLAN is None else _PLAN.op(out, _scatter_val, g, key, shape)
+    return _unary(_scatter_val, lambda gg, out, g: (vslice(gg, key),), g, key, shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -597,11 +590,9 @@ def im2col3(a) -> Var:
     it directly.  Linear with exact adjoint `col2im3`; the forward pass
     convolves with `conv3x3`, whose rule calls this one.
     """
-    a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("im2col3 expects (n, c, h, w)")
-    out = Var(_patch_rows(a.value), (a,), _im2col3_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _patch_rows, a)
+    return _unary(_patch_rows, _im2col3_vjp, a)
 
 
 def _im2col3_vjp(g, out, a):
@@ -610,9 +601,7 @@ def _im2col3_vjp(g, out, a):
 
 def col2im3(a, c: int, h: int, w: int) -> Var:
     """Adjoint of `im2col3`: patch rows (n*h*w, 9c) -> (n, c, h, w)."""
-    a = as_var(a)
-    out = Var(_patch_sum(a.value, c, h, w), (a,), _col2im3_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _patch_sum, a, c, h, w)
+    return _unary(_patch_sum, _col2im3_vjp, a, c, h, w)
 
 
 def _patch_sum(v: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
@@ -638,13 +627,11 @@ def conv3x3(x, w) -> Var:
     cotangent, a pure copy, and sends the input's through `col2im3`.
     The rule is written with primitives, so it is twice-differentiable.
     """
-    x, w = as_var(x), as_var(w)
     if x.value.ndim != 4 or w.value.ndim != 2:
         raise ShapeError("conv3x3 expects (n, c, h, w) and (9c, c_out)")
     if w.value.shape[0] != 9 * x.value.shape[1]:
         raise ShapeError(f"conv3x3 shape mismatch {x.shape} with {w.shape}")
-    out = Var(_conv(x.value, w.value), (x, w), _conv3x3_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _conv, x, w)
+    return _binary(_conv, _conv3x3_vjp, x, w)
 
 
 def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -659,11 +646,9 @@ def _conv3x3_vjp(g, out, x, w, need):
 def boxsum3(a) -> Var:
     """Zero-padded 3x3 box sum of each channel: (n, c, h, w) -> same
     shape (see `_box_sum`).  Linear with exact adjoint `boxspread3`."""
-    a = as_var(a)
     if a.value.ndim != 4:
         raise ShapeError("boxsum3 expects (n, c, h, w)")
-    out = Var(_box_sum(a.value), (a,), _boxsum3_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _box_sum, a)
+    return _unary(_box_sum, _boxsum3_vjp, a)
 
 
 def _box_sum(v: np.ndarray) -> np.ndarray:
@@ -691,9 +676,7 @@ def _boxsum3_vjp(g, out, a):
 def boxspread3(a) -> Var:
     """Adjoint of `boxsum3`: adds each pixel into the 3x3 window around
     it, offsets 0..8 in order, into zeros (see `_box_spread`)."""
-    a = as_var(a)
-    out = Var(_box_spread(a.value), (a,), _boxspread3_vjp)
-    return out if _PLAN is None else _PLAN.op(out, _box_spread, a)
+    return _unary(_box_spread, _boxspread3_vjp, a)
 
 
 def _box_spread(v: np.ndarray) -> np.ndarray:
@@ -912,7 +895,7 @@ class Plan:
     def derived(self, out: Var, fn, *args) -> Var:
         """Note a derived constant and its test, as `Var` makes it."""
         self.op(out, fn, *args)
-        self._calls.append((functools.partial(_test_finite, ("node",)),
+        self._calls.append((functools.partial(check_finite, ("node",)),
                             [self._operand(out)], 0))
         return out
 
@@ -925,7 +908,7 @@ class Plan:
         if todo:
             labels = tuple('leaf' if v.name is None else v.name for _, v in todo)
             self._calls.append(
-                (functools.partial(_test_finite, labels), [k for k, _ in todo], 0))
+                (functools.partial(check_finite, labels), [k for k, _ in todo], 0))
             self._untested.difference_update(k for k, _ in todo)
 
     def _finish(self, outs: list):

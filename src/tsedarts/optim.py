@@ -98,13 +98,10 @@ def loss_and_grads(net: Supernet, batch, wrt: list) -> tuple:
 
 
 def sgd_step(weights: dict, grads: dict, cfg: SGDConfig):
-    """In-place plain SGD: w <- w - lr * g.  Every gradient is tested,
-    with one test over all of them, before any weight moves, so a
-    rejected step changes nothing; only a failure looks for the name."""
+    """In-place plain SGD: w <- w - lr * g.  Every gradient is tested
+    before any weight moves, so a rejected step changes nothing."""
     steps = [grads[name] for name in weights]
-    if steps and not ad.all_finite(np.concatenate([np.ravel(g) for g in steps])):
-        bad = next(name for name, g in zip(weights, steps) if not ad.all_finite(g))
-        raise OptimError(f"non-finite gradient for {bad}")
+    ad.check_finite(list(weights), *steps, error=OptimError, what="gradient for")
     for p, g in zip(weights.values(), steps):
         p.value = p.value - cfg.lr * g
 
@@ -162,19 +159,26 @@ class ArchOptimizer:
         self.v = None
 
     def step(self, alpha: Var, grad: np.ndarray):
+        """One Adam step on `alpha.value`.  The moments and the new alpha
+        are computed first and tested together, so a step that makes any
+        of them non-finite raises `NonFiniteError`, warns of nothing and
+        changes neither alpha nor the optimizer's state."""
         if not ad.all_finite(grad):
             raise OptimError("non-finite architecture gradient")
-        g = grad + self.cfg.weight_decay * alpha.value
         b1, b2, eps = 0.5, 0.999, 1e-8
-        if self.m is None:
-            self.m = np.zeros_like(alpha.value)
-            self.v = np.zeros_like(alpha.value)
-        self.t += 1
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
-        mhat = self.m / (1 - b1 ** self.t)
-        vhat = self.v / (1 - b2 ** self.t)
-        alpha.value = alpha.value - self.cfg.lr * mhat / (np.sqrt(vhat) + eps)
+        m, v = (self.m, self.v) if self.m is not None else (np.zeros_like(alpha.value),) * 2
+        t = self.t + 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = grad + self.cfg.weight_decay * alpha.value
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            new = alpha.value - self.cfg.lr * mhat / (np.sqrt(vhat) + eps)
+        ad.check_finite(("alpha's first moment", "alpha's second moment", "alpha"),
+                        m, v, new)
+        self.t, self.m, self.v = t, m, v
+        alpha.value = new
 
 
 # ------------------------------------------------------------------

@@ -701,6 +701,60 @@ def test_double_backward_through_scalar_ops_matches_fd_hessian():
     assert np.linalg.norm(hv.value - ref) / np.linalg.norm(ref) < 1e-4
 
 
+# name -> (Var function of the leaves, leaf shapes): every primitive,
+# both operand orders of each scalar form and the static operands
+FORM_CASES = {
+    "add": (ad.add, [(3, 4), (1, 4)]),
+    "sub": (ad.sub, [(3, 4), (3, 1)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "div": (ad.div, [(3, 4), (3, 4)]),
+    "neg": (ad.neg, [(3, 4)]),
+    "power": (lambda a: ad.power(a, 2.5), [(3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "transpose": (ad.transpose, [(3, 4)]),
+    "transpose-axes": (lambda a: ad.transpose(a, (1, 2, 0)), [(2, 3, 4)]),
+    "reshape": (lambda a: ad.reshape(a, (2, 6)), [(3, 4)]),
+    "vexp": (ad.vexp, [(3, 4)]),
+    "vlog": (ad.vlog, [(3, 4)]),
+    "vtanh": (ad.vtanh, [(3, 4)]),
+    "vsum-all": (ad.vsum, [(3, 4)]),
+    "vsum-axis0": (lambda a: ad.vsum(a, axis=0), [(3, 4)]),
+    "vsum-axis1-keepdims": (lambda a: ad.vsum(a, axis=1, keepdims=True), [(3, 4)]),
+    "vslice": (lambda a: ad.vslice(a, (slice(1, 3), 2)), [(3, 4)]),
+    "vscatter": (lambda a: ad.vscatter(a, (slice(1, 3),), (4, 4)), [(2, 4)]),
+    "im2col3": (ad.im2col3, [(2, 3, 4, 5)]),
+    "col2im3": (lambda a: ad.col2im3(a, 3, 4, 5), [(40, 27)]),
+    "conv3x3": (ad.conv3x3, [(2, 3, 4, 5), (27, 2)]),
+    "boxsum3": (ad.boxsum3, [(2, 3, 4, 5)]),
+    "boxspread3": (ad.boxspread3, [(2, 3, 4, 5)]),
+}
+FORM_CASES.update({f"scalar-{name}": (op, [shape])
+                   for name, (op, _, shape) in SCALAR_CASES.items()})
+
+
+@pytest.mark.parametrize("name", sorted(FORM_CASES))
+def test_every_form_replays_bit_for_bit(name):
+    # the loss and gradients of one form, recorded and then replayed at
+    # new leaf values, equal the Var path's byte for byte
+    op, shapes = FORM_CASES[name]
+    rng = np.random.default_rng(12)
+    # entries in [0.5, 1.5): away from 0 for div, vlog and power
+    leaves = [ad.param(0.5 + rng.random(s), f"x{i}") for i, s in enumerate(shapes)]
+
+    def step():
+        with ad.trapped(leaves):
+            out = op(*leaves)
+            loss = ad.vsum(out * out)
+        return [loss] + ad.grad(loss, leaves)
+
+    plan, _ = ad.record(step, leaves, ())
+    for x in leaves:
+        x.value = 0.5 + rng.random(x.shape)
+    got = plan.replay(())
+    want = [v.value for v in step()]
+    assert [(g.shape, g.tobytes()) for g in got] == [(w.shape, w.tobytes()) for w in want]
+
+
 @pytest.mark.parametrize("src,shape", [((), ()), ((), (3, 4)), ((3, 1), (2, 3, 4)),
                                        ((1, 4, 1, 1), (2, 4, 3, 3)), ((2, 3), (2, 3)),
                                        ("column", (4, 5))])

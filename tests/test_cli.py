@@ -282,14 +282,26 @@ class TestSearchCommand:
         doc = json.load(open(os.path.join(out, "abort.json")))
         assert "step 2" in doc["error"]
 
-    def test_overflow_aborts_without_warning(self, tmp_path, capsys):
+    ALPHA_OVERFLOW = {"--unroll-t": "2", "--epochs": "3"}
+
+    @pytest.mark.parametrize("over, error", [
+        ({"--lr": "1e300"}, "window aborted at step 1: "),
+        # Adam's second moment of alpha overflows; alpha is not moved
+        (dict(ALPHA_OVERFLOW, **{"--arch-wd": "1e300"}),
+         "non-finite value in alpha's second moment"),
+        (dict(ALPHA_OVERFLOW, **{"--arch-lr": "1e300"}),
+         "non-finite value in alpha's second moment"),
+        (dict(ALPHA_OVERFLOW, **{"--arch-lr": "1e300", "--optimizer": "darts-1st"}),
+         "non-finite value in alpha's second moment"),
+    ], ids=["lr", "arch-wd", "arch-lr", "arch-lr-darts"])
+    def test_overflow_aborts_without_warning(self, over, error, tmp_path, capsys):
         out = str(tmp_path / "run")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(search_args(out, **{"--lr": "1e300"})) == cli.EXIT_NUMERIC
+            assert cli.main(search_args(out, **over)) == cli.EXIT_NUMERIC
         with open(os.path.join(out, "abort.json")) as f:
-            assert "step 1" in json.load(f)["error"]
-        assert capsys.readouterr().err.startswith("numerical abort: window aborted")
+            assert json.load(f)["error"].startswith(error)
+        assert capsys.readouterr().err.startswith(f"numerical abort: {error}")
 
     def test_rerun_after_an_abort_keeps_no_abort_file(self, tmp_path, capsys):
         out = str(tmp_path / "run")

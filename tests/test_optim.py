@@ -91,6 +91,26 @@ class TestArchOptimizer:
         with pytest.raises(optim.OptimError):
             opt.step(a, np.array([[np.inf]]))
 
+    @pytest.mark.parametrize("before", [0, 2])
+    @pytest.mark.parametrize("kwargs, alpha0, grad, bad", [
+        ({}, 0.0, 1e200, "alpha's second moment"),   # g * g overflows
+        ({"lr": 1e308, "weight_decay": 0.0}, 1e308, -1.0, "alpha"),
+    ], ids=["second-moment", "alpha"])
+    def test_rejected_step_changes_nothing(self, kwargs, alpha0, grad, bad, before):
+        # the moments and alpha are tested before any of them is kept:
+        # a rejected step, the first or a later one, leaves alpha, m, v
+        # and t as they were, and warns of nothing
+        opt = optim.ArchOptimizer(optim.ArchOptimizerConfig(**kwargs))
+        a = ad.param(np.full((1, 2), alpha0), "alpha")
+        for _ in range(before):
+            opt.step(a, np.zeros((1, 2)))
+        state = [a.value.tobytes(), opt.t] + [
+            None if x is None else x.tobytes() for x in (opt.m, opt.v)]
+        with pytest.raises(ad.NonFiniteError, match=f"non-finite value in {bad}$"):
+            opt.step(a, np.full((1, 2), grad))
+        assert [a.value.tobytes(), opt.t] + [
+            None if x is None else x.tobytes() for x in (opt.m, opt.v)] == state
+
     def test_invalid_config_rejected(self):
         with pytest.raises(optim.OptimError):
             optim.ArchOptimizerConfig(lr=0.0)
@@ -384,12 +404,14 @@ class TestGraphLifetime:
         net = tiny_net(seed=21)
         window = optim.make_window(net, tiny_batches(21, 3))
         made, alive = [], []
-        init, record, replay = ad.Var.__init__, ad.record, ad.Plan.replay
+        record, replay = ad.record, ad.Plan.replay
 
-        def tracked_init(self, value, parents=(), vjp=None, name=None):
-            init(self, value, parents, vjp, name)
-            if parents:
-                made.append(weakref.ref(self.value))
+        def tracked(make):   # `_unary` and `_binary` make every op node
+            def node(*args):
+                out = make(*args)
+                made.append(weakref.ref(out.value))
+                return out
+            return node
 
         def collected(fn):
             def call(*args):
@@ -410,7 +432,8 @@ class TestGraphLifetime:
             alive.append(sum(r() is not None for r in made))
             return replay(self, inputs)
 
-        monkeypatch.setattr(ad.Var, "__init__", tracked_init)
+        monkeypatch.setattr(ad, "_unary", tracked(ad._unary))
+        monkeypatch.setattr(ad, "_binary", tracked(ad._binary))
         monkeypatch.setattr(ad, "record", tracked_record)
         monkeypatch.setattr(ad.Plan, "replay", tracked_replay)
         gc.disable()   # refcounting alone must free every array
