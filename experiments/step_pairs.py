@@ -81,8 +81,9 @@ in which the change was faster.  Then it records one `vector` and one
 `image` step over every weight and alpha with `autodiff.record` in each
 tree and prints the number of calls in each plan (`len(plan.code)`, the
 calls a replay runs, slot frees included), so that a change to what a
-replay runs shows next to its timing.  Last comes a JSON summary.  It exits 1 when
-the two trees' numbers differ, else 0.  It measures; it gates nothing.
+replay runs shows next to its timing.  Last comes a JSON summary.  It
+exits 1 when the two trees' numbers differ, else 0.  It measures; it
+gates nothing.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ cotangent is computed for them.
 Every op node is made by one of two constructors, `_unary(fn, vjp, a,
 *static)` and `_binary(fn, vjp, a, b)`.  The node's value is the one
 call `fn` on the operands' values and the static operands (`np.add`,
-`np.tanh`, `_product`, `_patch_rows`, ...); the constructor tests it,
-keeps the parents and the rule while recording, and notes that same
-call in a plan being recorded.  A scalar-first `sub` or `div` has its
+`np.tanh`, `_product`, `_patch_rows`, ...); the constructor tests it
+outside `trapped()`, keeps the parents and the rule while recording,
+and notes that same call in a plan being recorded.  A scalar-first `sub` or `div` has its
 own value function (`_rsub`, `_rdiv`), since `-` and `/` do not
 commute; `+` and `*` do, bit for bit, so their scalar can go second.
 
